@@ -11,6 +11,12 @@ one.  That is what lets a training loss contain per-sample Jacobians of the
 network (obtained by reverse passes with respect to the input) while staying
 differentiable with respect to the weights.
 
+The one exception is `first_order`, a node whose value and gradients are
+computed in numpy outside the tape.  Its backward rule returns constants, so
+a second sweep sees those gradients as fixed: the node is first order only.
+The mixture density head (`mixtures.density_nodes`) is built that way, and
+nothing differentiates through it twice.
+
 Broadcasting is deliberately narrow: binary elementwise ops accept equal
 shapes or a scalar paired with a tensor, and add/sub additionally accept a
 rank-1 vector added across the rows of a rank-2 matrix (bias add).  Anything
@@ -116,6 +122,14 @@ class Tape:
 
     def __len__(self):
         return len(self.nodes)
+
+    def release(self) -> None:
+        """After the last backward: cut the node/tape and closure reference
+        cycles so the graph is freed at once, not by the cyclic collector."""
+        for node in self.nodes:
+            node.vjp = None
+            node.parents = ()
+        self.nodes.clear()
 
 
 def _wrap(tape: Tape, x) -> Node:
@@ -296,35 +310,6 @@ def reshape(a: Node, shape) -> Node:
     return out
 
 
-def tri_solve(l_factor: Node, b: Node, trans: bool = False) -> Node:
-    """Solve L @ Y = B (or L.T @ Y = B when trans) for lower-triangular L.
-
-    Only the lower triangle of l_factor is read.
-    """
-    lv, bv = l_factor.value, b.value
-    if lv.ndim != 2 or lv.shape[0] != lv.shape[1]:
-        raise ValueError("tri_solve: L must be square rank-2")
-    if bv.ndim != 2 or bv.shape[0] != lv.shape[0]:
-        raise ValueError(f"tri_solve: shape mismatch {lv.shape} vs {bv.shape}")
-    y = scipy.linalg.solve_triangular(lv, bv, lower=True, trans="T" if trans else "N", check_finite=False)
-    out = Node(l_factor.tape, y, (l_factor, b), None, "tri_solve")
-    mask = out.tape.constant(np.tril(np.ones_like(lv)))
-
-    if trans:
-        def vjp(g):
-            gb = tri_solve(l_factor, g, trans=False)
-            gl = mul(neg(matmul(out, transpose(gb))), mask)
-            return (gl, gb)
-    else:
-        def vjp(g):
-            gb = tri_solve(l_factor, g, trans=True)
-            gl = mul(neg(matmul(gb, transpose(out))), mask)
-            return (gl, gb)
-
-    out.vjp = vjp
-    return out
-
-
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
@@ -368,19 +353,12 @@ def inv_spd(a: Node) -> Node:
     return out
 
 
-def diag_part(a: Node) -> Node:
-    if a.value.ndim != 2 or a.value.shape[0] != a.value.shape[1]:
-        raise ValueError("diag_part: expects square rank-2")
-    out = Node(a.tape, np.diagonal(a.value).copy(), (a,), None, "diag_part")
-    out.vjp = lambda g: (diag_embed(g),)
-    return out
-
-
-def diag_embed(a: Node) -> Node:
-    if a.value.ndim != 1:
-        raise ValueError("diag_embed: expects rank-1")
-    out = Node(a.tape, np.diag(a.value), (a,), None, "diag_embed")
-    out.vjp = lambda g: (diag_part(g),)
+def first_order(parents, value, vjp_arrays, op: str) -> Node:
+    """A node computed in numpy; vjp_arrays(g) maps the upstream gradient
+    array to one gradient array per parent, which enter the tape as constants."""
+    tape = parents[0].tape
+    out = Node(tape, _as_value(value), tuple(parents), None, op)
+    out.vjp = lambda g: tuple(tape.constant(d) for d in vjp_arrays(g.value))
     return out
 
 
@@ -512,16 +490,6 @@ def scatter_per_row(a: Node, idx, n_cols: int) -> Node:
 
 # ---------------------------------------------------------------------------
 # stabilized reductions
-
-
-def logsumexp(a: Node) -> Node:
-    """log(sum(exp(v))) for a rank-1 v, shifted by the max so it never overflows."""
-    if a.value.ndim != 1:
-        raise ValueError("logsumexp: expects rank-1")
-    if a.value.size == 0:
-        raise ValueError("empty reduction")
-    shift = float(a.value.max())
-    return add(log(sum_all(exp(sub(a, shift)))), shift)
 
 
 def logsumexp_rows(a: Node) -> Node:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import container
 from .data import NormStats
-from .mixtures import ClassConditionalMixture
+from .mixtures import ClassConditionalMixture, mixture_param_arrays
 from .network import MlpConfig, MlpParams
 
 FORMAT_VERSION = 1
@@ -64,9 +64,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         mix = ckpt.mixture
         meta["mixture"] = {"n_classes": mix.n_classes, "n_components": mix.n_components,
                            "dim": mix.dim}
-        arrays["mix_means"] = mix.means
-        arrays["mix_chol_raw"] = mix.chol_raw
-        arrays["mix_weight_logits"] = mix.weight_logits
+        arrays.update(mixture_param_arrays(mix))
         arrays["mix_class_priors"] = mix.class_priors
     if ckpt.norm is not None:
         arrays["norm_mean"] = ckpt.norm.mean

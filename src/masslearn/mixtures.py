@@ -11,9 +11,9 @@ Classification goes through Bayes rule on log densities:
 
     q(y | z) = q(z | y) p(y) / sum_c q(z | c) p(c)
 
-Two implementations are kept in lockstep, one in plain numpy for evaluation
-and one emitting autodiff nodes for training; they agree bit-for-bit because
-they perform the identical arithmetic in the identical order.
+The log density q(z | y) is one numpy function over the three parameter
+tensors a checkpoint stores.  Scoring calls it; training wraps it as one
+tape node with a closed-form gradient, so both paths agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.special import expit
 
 from . import autodiff as ad
 from . import optim
@@ -82,37 +83,67 @@ def _as_points(z, dim: int) -> np.ndarray:
     return z
 
 
-def _component_ll(mean: np.ndarray, raw: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """(N,) log N(z; mean, L L^T); mirrors the tape arithmetic exactly."""
-    r = mean.shape[0]
-    l_fac = chol_factor(raw)
-    b = z - mean
-    y = scipy.linalg.solve_triangular(l_fac, b.T, lower=True, check_finite=False)
-    ssq = (y * y).sum(axis=0)
-    sumlog = np.log(np.diagonal(l_fac)).sum()
-    return (-0.5 * r * LOG_2PI) - (0.5 * ssq + sumlog)
-
-
-def _logsumexp_vec(v: np.ndarray) -> float:
-    shift = v.max()
-    return float(np.log(np.exp(v - shift).sum()) + shift)
-
-
 def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
     shift = m.max(axis=1)
     return np.log(np.exp(m - shift[:, None]).sum(axis=1)) + shift
 
 
+def _class_terms(means_c: np.ndarray, raw_c: np.ndarray, z: np.ndarray):
+    """One class at points z (N, r): factors L (K, r, r), whitened residuals
+    y = L^-1 (z - mu) as (K, r, N), and log N(z_i; mu_k, L_k L_k^T) as (N, K)."""
+    r = means_c.shape[-1]
+    l_fac = chol_factor(raw_c)
+    resid = np.swapaxes(z[None, :, :] - means_c[:, None, :], 1, 2)
+    y = scipy.linalg.solve_triangular(l_fac, resid, lower=True, check_finite=False)
+    sumlog = np.log(np.diagonal(l_fac, axis1=1, axis2=2)).sum(axis=1)
+    comp = (-0.5 * r * LOG_2PI) - (0.5 * (y * y).sum(axis=1) + sumlog[:, None])
+    return l_fac, y, comp.T
+
+
+def _log_weights(weight_logits: np.ndarray) -> np.ndarray:
+    return weight_logits - _logsumexp_rows(weight_logits)[:, None]
+
+
+def class_log_density(means: np.ndarray, chol_raw: np.ndarray, weight_logits: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+    """(N, C) of log q(z_i | y = c) from the three parameter tensors, no priors applied."""
+    log_w = _log_weights(weight_logits)
+    cols = [_logsumexp_rows(_class_terms(means[c], chol_raw[c], z)[2] + log_w[c])
+            for c in range(means.shape[0])]
+    return np.stack(cols, axis=1)
+
+
+def _class_log_density_vjp(means, chol_raw, weight_logits, z, out, g):
+    """Gradients of sum(g * out) in z, means, chol_raw, weight_logits, where
+    out = class_log_density(...).  With u = L^-T y and h = g * responsibility:
+    dz = -sum h u, dmu = sum h u, dL = tril(sum h u y^T) - diag(sum h / L_jj),
+    dlogits = sum h - w sum g."""
+    log_w = _log_weights(weight_logits)
+    d_z = np.zeros_like(z)
+    d_means = np.empty_like(means)
+    d_raw = np.empty_like(chol_raw)
+    d_logits = np.empty_like(weight_logits)
+    idx = np.arange(means.shape[-1])
+    for c in range(means.shape[0]):
+        # recomputed, not kept from the forward: keeping y would hold (C, K, r, N)
+        l_fac, y, comp = _class_terms(means[c], chol_raw[c], z)
+        h = g[:, c, None] * np.exp(comp + log_w[c] - out[:, c, None])      # (N, K)
+        u = scipy.linalg.solve_triangular(l_fac, y, trans="T", lower=True, check_finite=False)
+        hu = u * h.T[:, None, :]                                              # (K, r, N)
+        d_z -= hu.sum(axis=0).T
+        d_means[c] = hu.sum(axis=2)
+        h_sum = h.sum(axis=0)
+        d_l = np.tril(hu @ np.swapaxes(y, 1, 2))
+        d_l[:, idx, idx] -= h_sum[:, None] / l_fac[:, idx, idx]
+        d_l[:, idx, idx] *= expit(chol_raw[c][:, idx, idx])
+        d_raw[c] = d_l
+        d_logits[c] = h_sum - np.exp(log_w[c]) * g[:, c].sum()
+    return d_z, d_means, d_raw, d_logits
+
+
 def class_log_density_matrix(m: ClassConditionalMixture, z) -> np.ndarray:
     """(N, C) of log q(z_i | y = c), no priors applied."""
-    z = _as_points(z, m.dim)
-    cols = []
-    for c in range(m.n_classes):
-        lls = np.stack([_component_ll(m.means[c, k], m.chol_raw[c, k], z)
-                        for k in range(m.n_components)])  # (K, N)
-        logw = m.weight_logits[c] - _logsumexp_vec(m.weight_logits[c])
-        cols.append(_logsumexp_rows(lls.T.copy() + logw))
-    return np.stack(cols).T.copy()
+    return class_log_density(m.means, m.chol_raw, m.weight_logits, _as_points(z, m.dim))
 
 
 def mixture_log_density(m: ClassConditionalMixture, y: int, z) -> float:
@@ -160,21 +191,15 @@ def fit_priors(m: ClassConditionalMixture, labels) -> ClassConditionalMixture:
 
 
 def mixture_param_arrays(m: ClassConditionalMixture) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for c in range(m.n_classes):
-        for k in range(m.n_components):
-            out[f"mix_mean_{c}_{k}"] = m.means[c, k]
-            out[f"mix_chol_{c}_{k}"] = m.chol_raw[c, k]
-        out[f"mix_logits_{c}"] = m.weight_logits[c]
-    return out
+    """The trainable tensors themselves (not copies), under their checkpoint names."""
+    return {"mix_means": m.means, "mix_chol_raw": m.chol_raw,
+            "mix_weight_logits": m.weight_logits}
 
 
 def set_mixture_param_arrays(m: ClassConditionalMixture, values: dict[str, np.ndarray]) -> None:
-    for c in range(m.n_classes):
-        for k in range(m.n_components):
-            m.means[c, k] = values[f"mix_mean_{c}_{k}"]
-            m.chol_raw[c, k] = values[f"mix_chol_{c}_{k}"]
-        m.weight_logits[c] = values[f"mix_logits_{c}"]
+    m.means = values["mix_means"]
+    m.chol_raw = values["mix_chol_raw"]
+    m.weight_logits = values["mix_weight_logits"]
 
 
 def make_mixture_nodes(tape: ad.Tape, m: ClassConditionalMixture) -> dict[str, ad.Node]:
@@ -190,31 +215,15 @@ class DensityNodes(NamedTuple):
 
 def density_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], m: ClassConditionalMixture,
                   z_node: ad.Node, labels) -> DensityNodes:
-    """Tape twin of the numpy densities, differentiable in z and parameters."""
+    """The numpy densities on the tape, differentiable in z and the parameters."""
     labels = np.asarray(labels, dtype=np.int64)
-    n = z_node.value.shape[0]
-    r = m.dim
-    strict_mask = np.tril(np.ones((r, r)), -1)
-    const_half_log = tape.constant(-0.5 * r * LOG_2PI)
-
-    class_cols = []
-    for c in range(m.n_classes):
-        comp_lls = []
-        for k in range(m.n_components):
-            mean = pnodes[f"mix_mean_{c}_{k}"]
-            raw = pnodes[f"mix_chol_{c}_{k}"]
-            l_fac = ad.add(ad.mul(raw, tape.constant(strict_mask)),
-                           ad.diag_embed(ad.softplus(ad.diag_part(raw))))
-            b = ad.sub(z_node, mean)
-            y = ad.tri_solve(l_fac, ad.transpose(b))
-            ssq = ad.sum_axis(ad.mul(y, y), 0)
-            sumlog = ad.sum_all(ad.log(ad.diag_part(l_fac)))
-            comp_lls.append(ad.sub(const_half_log, ad.add(ad.mul(0.5, ssq), sumlog)))
-        logits = pnodes[f"mix_logits_{c}"]
-        logw = ad.sub(logits, ad.logsumexp(logits))
-        stacked = ad.transpose(ad.vstack(comp_lls))          # (N, K)
-        class_cols.append(ad.logsumexp_rows(ad.add(stacked, logw)))
-    class_cond = ad.transpose(ad.vstack(class_cols))         # (N, C)
+    params = [pnodes[name] for name in mixture_param_arrays(m)]
+    arrays = [p.value for p in params]
+    z = z_node.value
+    value = class_log_density(*arrays, z)
+    class_cond = ad.first_order(
+        (z_node, *params), value,
+        lambda g: _class_log_density_vjp(*arrays, z, value, g), "mixture_density")
 
     with np.errstate(divide="ignore"):
         log_priors = np.log(m.class_priors)
@@ -247,35 +256,33 @@ def mle_fit(z, labels, n_classes: int, n_components: int, steps: int, seed: int,
     labels = np.asarray(labels, dtype=np.int64)
     r = z.shape[1]
     counts = np.bincount(labels, minlength=n_classes)
+    if counts.size > n_classes:
+        raise ValueError("mle_fit: label out of range")
     if np.any(counts < n_components):
         raise ValueError("mle_fit: every class needs at least n_components samples")
 
     if init is None:
         m = mixture_init(n_classes, n_components, r, seed)
-        gen = rngmod.stream(seed, "mle-init")
-        for c in range(n_classes):
-            zc = z[labels == c]
-            center = zc.mean(axis=0)
-            std = zc.std(axis=0)
-            scale = 0.25 * std.mean() + 1e-3
-            for k in range(n_components):
-                m.means[c, k] = center + scale * gen.normal(size=r)
-                m.chol_raw[c, k] = np.zeros((r, r))
-                m.chol_raw[c, k][np.arange(r), np.arange(r)] = _inv_softplus(np.maximum(std, 1e-2))
+        onehot = (labels[:, None] == np.arange(n_classes)).astype(np.float64)
+        centers = onehot.T @ z / counts[:, None]
+        stds = np.sqrt(onehot.T @ (z - centers[labels]) ** 2 / counts[:, None])
+        scales = 0.25 * stds.mean(axis=1) + 1e-3
+        jitter = rngmod.stream(seed, "mle-init").normal(size=m.means.shape)
+        m.means = centers[:, None, :] + scales[:, None, None] * jitter
+        idx = np.arange(r)
+        m.chol_raw[:, :, idx, idx] = _inv_softplus(np.maximum(stds, 1e-2))[:, None, :]
     else:
         m = replace(init, means=init.means.copy(), chol_raw=init.chol_raw.copy(),
                     weight_logits=init.weight_logits.copy(), class_priors=init.class_priors.copy())
     m = fit_priors(m, labels)
 
-    params = {k: v.copy() for k, v in mixture_param_arrays(m).items()}
     state = optim.AdamState()
     for _ in range(steps):
         tape = ad.Tape()
-        pnodes = {name: tape.leaf(arr) for name, arr in params.items()}
+        pnodes = make_mixture_nodes(tape, m)
         dens = density_nodes(tape, pnodes, m, tape.constant(z), labels)
-        loss = ad.neg(ad.mean_all(dens.cond_own))
-        grads = ad.backward(loss, list(pnodes.values()))
+        grads = ad.backward(ad.neg(ad.mean_all(dens.cond_own)), list(pnodes.values()))
+        tape.release()
         grad_dict = {name: grads[node] for name, node in pnodes.items()}
-        params = optim.adam_step(params, grad_dict, state, lr)
-    set_mixture_param_arrays(m, params)
+        set_mixture_param_arrays(m, optim.adam_step(mixture_param_arrays(m), grad_dict, state, lr))
     return m

@@ -68,6 +68,15 @@ class TrainConfig:
             raise ValueError("mixture_components must be positive")
 
 
+class TrainingDivergedError(RuntimeError):
+    """A training step gave a non-finite loss or gradient norm, or a singular mixture factor."""
+
+    def __init__(self, step: int, term: str):
+        super().__init__(f"training diverged at step {step}: {term}")
+        self.step = step
+        self.term = term
+
+
 @dataclass
 class LossBreakdown:
     total: float
@@ -120,6 +129,7 @@ def mass_minibatch_loss(net_params: net.MlpParams, mixture: mx.ClassConditionalM
         jac_value = 0.0
 
     grads = ad.backward(total, list(pnodes.values()) + list(mnodes.values()))
+    tape.release()
     net_grads = {name: grads[node] for name, node in pnodes.items()}
     mix_grads = {name: grads[node] for name, node in mnodes.items()}
     breakdown = LossBreakdown(total=total.item(), cond_entropy_term=cond_term.item(),
@@ -139,6 +149,7 @@ def softmaxce_minibatch_loss(net_params: net.MlpParams, x: np.ndarray, y: np.nda
                                dropout_mask=dropout_mask, update_running=update_running)
     loss = ad.mean_all(ad.sub(ad.logsumexp_rows(out), ad.take_per_row(out, y)))
     grads = ad.backward(loss, list(pnodes.values()))
+    tape.release()
     return loss.item(), {name: grads[node] for name, node in pnodes.items()}
 
 
@@ -296,27 +307,28 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
             for bx, by in datamod.batch_iterator(normalized, cfg.batch_size, cfg.seed, epoch):
                 step += 1
                 mask = net.sample_dropout_mask(net_config, rngmod.stream(cfg.seed, rngmod.DROPOUT, step))
-                if cfg.method == "mass":
-                    _, net_grads, mix_grads = mass_minibatch_loss(
-                        net_params, mixture, bx, by, cfg, dropout_mask=mask, update_running=True)
-                    combined = {**{f"net.{k}": v for k, v in net_grads.items()},
-                                **{f"mix.{k}": v for k, v in mix_grads.items()}}
-                    combined, _ = optim.clip_global_norm(combined, cfg.clip_norm)
-                    net_grads = {k[4:]: v for k, v in combined.items() if k.startswith("net.")}
-                    mix_grads = {k[4:]: v for k, v in combined.items() if k.startswith("mix.")}
-                    new_theta = step_params(net.param_arrays(net_params), net_grads, theta_state, cfg.lr)
-                    net.set_param_arrays(net_params, new_theta)
-                    new_phi = step_params(mx.mixture_param_arrays(mixture), mix_grads, phi_state,
-                                          cfg.variational_lr)
-                    mx.set_mixture_param_arrays(mixture, new_phi)
-                else:
-                    _, net_grads = softmaxce_minibatch_loss(net_params, bx, by, dropout_mask=mask,
-                                                            update_running=True)
-                    net_grads, _ = optim.clip_global_norm(net_grads, cfg.clip_norm)
-                    new_theta = step_params(net.param_arrays(net_params), net_grads, theta_state, cfg.lr)
-                    net.set_param_arrays(net_params, new_theta)
-                if step % cfg.eval_interval == 0 or step == cfg.steps:
-                    write_row(step)
+                try:
+                    if cfg.method == "mass":
+                        breakdown, grads, mix_grads = mass_minibatch_loss(
+                            net_params, mixture, bx, by, cfg, dropout_mask=mask, update_running=True)
+                        loss = breakdown.total
+                        grads.update(mix_grads)
+                    else:
+                        loss, grads = softmaxce_minibatch_loss(net_params, bx, by, dropout_mask=mask,
+                                                               update_running=True)
+                    grads, grad_norm = optim.clip_global_norm(grads, cfg.clip_norm)
+                    for term, value in (("loss", loss), ("gradient norm before clipping", grad_norm)):
+                        if not np.isfinite(value):
+                            raise TrainingDivergedError(step, f"{term} is {value}")
+                    net.set_param_arrays(net_params, step_params(
+                        net.param_arrays(net_params), grads, theta_state, cfg.lr))
+                    if mixture is not None:
+                        mx.set_mixture_param_arrays(mixture, step_params(
+                            mx.mixture_param_arrays(mixture), grads, phi_state, cfg.variational_lr))
+                    if step % cfg.eval_interval == 0 or step == cfg.steps:
+                        write_row(step)
+                except np.linalg.LinAlgError:
+                    raise TrainingDivergedError(step, "a mixture covariance factor is singular") from None
                 if step >= cfg.steps:
                     break
             epoch += 1

@@ -26,17 +26,16 @@ def test_elu_derivative_at_zero_is_one():
 
 def test_logsumexp_values():
     t = ad.Tape()
-    assert ad.logsumexp(t.leaf(np.array([3.7]))).item() == pytest.approx(3.7, abs=1e-12)
-    assert ad.logsumexp(t.leaf(np.array([0.0, 0.0]))).item() == pytest.approx(math.log(2), abs=1e-12)
-    big = ad.logsumexp(t.leaf(np.array([1000.0, 1000.0]))).item()
-    assert big == pytest.approx(1000.0 + math.log(2), abs=1e-9)
-    assert np.isfinite(big)
+    rows = np.array([[3.7, -np.inf], [0.0, 0.0], [1000.0, 1000.0]])
+    got = ad.logsumexp_rows(t.leaf(rows)).value
+    assert got[0] == pytest.approx(3.7, abs=1e-12)
+    assert got[1] == pytest.approx(math.log(2), abs=1e-12)
+    assert got[2] == pytest.approx(1000.0 + math.log(2), abs=1e-9)
+    assert np.all(np.isfinite(got))
 
 
 def test_logsumexp_empty_raises():
     t = ad.Tape()
-    with pytest.raises(ValueError, match="empty reduction"):
-        ad.logsumexp(t.leaf(np.zeros(0)))
     with pytest.raises(ValueError, match="empty reduction"):
         ad.logsumexp_rows(t.leaf(np.zeros((3, 0))))
 

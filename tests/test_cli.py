@@ -285,6 +285,33 @@ def test_warnings_go_to_stdout(tmp_path, capsys):
     assert "warning:" in captured.out
 
 
+README_BLOBS_CFG = (
+    "dataset=blobs:n=1536,classes=3,dim=2,sep=4.0,seed=31\n"
+    "test_dataset=blobs:n=600,classes=3,dim=2,sep=4.0,seed=32\n"
+    "hidden=16\nrepresentation_dim=2\nmixture_components=3\nbeta=0.001\n"
+    "batch_size=64\nsteps=2000\neval_interval=500\n"
+)
+
+
+def test_divergent_training_is_exit_3_and_names_the_step(tmp_path, capsys):
+    cfg = _write(tmp_path / "train.cfg", README_BLOBS_CFG + "lr=1e3\nvariational_lr=1e3\n")
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run"), "--seed", "11"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: TrainingDivergedError: training diverged at step ")
+
+
+def test_sgd_momentum_optimizer_trains(tmp_path, capsys):
+    cfg = _train_cfg(tmp_path, extra="optimizer=sgd_momentum\nlr=1e-2\nvariational_lr=1e-2\n")
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run"), "--seed", "1"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "run" / "curves.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:3])
+
+
 def test_installed_entry_point(tmp_path):
     cfg = _write(tmp_path / "cdi.cfg", "n=1200\n")
     out = tmp_path / "sub"

@@ -4,6 +4,7 @@ from scipy.stats import multivariate_normal
 
 from masslearn import autodiff as ad
 from masslearn import mixtures as mx
+from masslearn import rng as rngmod
 
 
 def unit_mixture(n_classes=1, n_components=1, dim=1, seed=0):
@@ -38,16 +39,21 @@ def test_posterior_two_unit_gaussians():
 
 def test_full_covariance_matches_scipy():
     gen = np.random.default_rng(5)
-    m = mx.mixture_init(1, 1, 3, seed=2)
-    raw = gen.normal(size=(3, 3))
-    m.chol_raw[0, 0] = raw
-    m.means[0, 0] = gen.normal(size=3)
-    l_fac = mx.chol_factor(raw)
-    cov = l_fac @ l_fac.T
-    z = gen.normal(size=(20, 3))
-    want = multivariate_normal(mean=m.means[0, 0], cov=cov).logpdf(z)
-    got = mx.class_log_density_matrix(m, z)[:, 0]
-    np.testing.assert_allclose(got, want, atol=1e-10)
+    for n_classes, n_components, dim in ((1, 1, 3), (2, 3, 3)):
+        m = mx.mixture_init(n_classes, n_components, dim, seed=2)
+        m.chol_raw = gen.normal(size=m.chol_raw.shape)
+        m.means = gen.normal(size=m.means.shape)
+        if n_components > 1:
+            m.weight_logits = gen.normal(size=m.weight_logits.shape)
+        z = gen.normal(size=(20, dim))
+        got = mx.class_log_density_matrix(m, z)
+        for c in range(n_classes):
+            w = np.exp(m.weight_logits[c]) / np.exp(m.weight_logits[c]).sum()
+            dens = np.zeros(len(z))
+            for k in range(n_components):
+                l_fac = mx.chol_factor(m.chol_raw[c, k])
+                dens += w[k] * multivariate_normal(mean=m.means[c, k], cov=l_fac @ l_fac.T).pdf(z)
+            np.testing.assert_allclose(got[:, c], np.log(dens), rtol=0, atol=1e-10)
 
 
 def test_fit_priors():
@@ -107,19 +113,32 @@ def test_tape_matches_fast_path_bitwise():
 def test_density_gradients_match_finite_differences():
     m = mx.mixture_init(2, 2, 2, seed=4)
     m = mx.fit_priors(m, [0, 1, 1])
+    m.weight_logits = np.array([[0.3, -0.2], [-0.5, 0.1]])
     gen = np.random.default_rng(8)
     z = gen.normal(size=(5, 2))
     labels = np.array([0, 1, 1, 0, 1])
     names = list(mx.mixture_param_arrays(m).keys())
 
     def builder(tape, *leaves):
-        pnodes = dict(zip(names, leaves))
-        dens = mx.density_nodes(tape, pnodes, m, tape.constant(z), labels)
+        pnodes = dict(zip(names, leaves[:-1]))
+        dens = mx.density_nodes(tape, pnodes, m, leaves[-1], labels)
         return ad.add(ad.mean_all(dens.cond_own), ad.mean_all(dens.marginal))
 
-    points = [arr.copy() for arr in mx.mixture_param_arrays(m).values()]
+    points = [arr.copy() for arr in mx.mixture_param_arrays(m).values()] + [z]
     report = ad.grad_check(builder, points)
     assert report.max_rel_error <= 1e-5, str(report)
+
+
+def test_param_arrays_are_the_mixture_tensors():
+    m = mx.mixture_init(2, 3, 2, seed=1)
+    arrays = mx.mixture_param_arrays(m)
+    assert list(arrays) == ["mix_means", "mix_chol_raw", "mix_weight_logits"]
+    assert arrays["mix_means"] is m.means
+    assert arrays["mix_chol_raw"] is m.chol_raw
+    assert arrays["mix_weight_logits"] is m.weight_logits
+    fresh = {name: arr + 1.0 for name, arr in arrays.items()}
+    mx.set_mixture_param_arrays(m, fresh)
+    assert all(mx.mixture_param_arrays(m)[name] is arr for name, arr in fresh.items())
 
 
 def test_mle_fit_single_gaussian_recovers_moments():
@@ -139,6 +158,23 @@ def test_mle_fit_single_gaussian_recovers_moments():
     np.testing.assert_allclose(l_fac @ l_fac.T, scov, atol=1e-4)
 
 
+def test_mle_fit_init_matches_per_class_loop():
+    # reference: class moments and jitter drawn one component at a time
+    gen = np.random.default_rng(6)
+    z = gen.normal(size=(40, 3)) * [1.0, 2.0, 0.5]
+    labels = np.arange(40) % 3
+    m = mx.mle_fit(z, labels, 3, 2, steps=0, seed=4)
+    jitter = rngmod.stream(4, "mle-init")
+    for c in range(3):
+        zc = z[labels == c]
+        std = zc.std(axis=0)
+        for k in range(2):
+            want = zc.mean(axis=0) + (0.25 * std.mean() + 1e-3) * jitter.normal(size=3)
+            np.testing.assert_allclose(m.means[c, k], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.diagonal(mx.chol_factor(m.chol_raw[c, k])), std,
+                                       rtol=1e-12)
+
+
 def test_mle_fit_deterministic_and_requires_enough_samples():
     gen = np.random.default_rng(0)
     z = gen.normal(size=(30, 2))
@@ -149,6 +185,8 @@ def test_mle_fit_deterministic_and_requires_enough_samples():
     np.testing.assert_array_equal(a.chol_raw, b.chol_raw)
     with pytest.raises(ValueError, match="at least"):
         mx.mle_fit(z[:3], labels[:3], 2, 2, steps=5, seed=1)
+    with pytest.raises(ValueError, match="out of range"):
+        mx.mle_fit(z, labels + 1, 2, 1, steps=5, seed=1)
 
 
 def test_label_out_of_range_rejected():

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +94,46 @@ def test_beta_zero_matches_posterior_nll_and_skips_jacobian(monkeypatch):
         np.testing.assert_allclose(net_grads[name], grads[node], rtol=0, atol=1e-10)
     for name, node in mnodes.items():
         np.testing.assert_allclose(mix_grads[name], grads[node], rtol=0, atol=1e-10)
+
+
+def test_minibatch_loss_releases_its_tape():
+    # A tape is a web of reference cycles.  With the cyclic collector off,
+    # memory stays at the working set (model, data, one step's gradients)
+    # only if each call frees its own graph; a kept tape would add about
+    # four times that per call.
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        x, y, params, mixture = _toy_problem(4, n=64, dim=256, hidden=(128,))
+        cfg = tr.TrainConfig(beta=1e-3)
+        sizes = []
+        for _ in range(5):
+            tr.mass_minibatch_loss(params, mixture, x, y, cfg)
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert sizes[4] <= 1.1 * sizes[0], sizes
+
+
+def test_divergence_is_typed_and_names_the_step(monkeypatch):
+    train, _ = datamod.gaussian_blobs(64, 2, 3, 4.0, seed=1)
+    cfg_net = net.MlpConfig(input_dim=3, hidden_dims=(5,), output_dim=2)
+    bad = datamod.Dataset(train.name, train.features.copy(), train.labels, train.n_classes)
+    bad.features[:, 0] = np.nan
+    cfg = tr.TrainConfig(method="mass", beta=0.0, batch_size=16, steps=3, mixture_components=1)
+    with pytest.raises(tr.TrainingDivergedError, match="step 1: loss is nan") as info:
+        tr.train(bad, None, cfg_net, cfg)
+    assert info.value.step == 1 and info.value.term == "loss is nan"
+
+    def nan_gradients(params, x, y, **kwargs):
+        return 0.5, {name: np.full_like(a, np.nan) for name, a in net.param_arrays(params).items()}
+
+    monkeypatch.setattr(tr, "softmaxce_minibatch_loss", nan_gradients)
+    cfg = tr.TrainConfig(method="softmaxce", batch_size=16, steps=3)
+    with pytest.raises(tr.TrainingDivergedError, match="step 1: gradient norm"):
+        tr.train(train, None, cfg_net, cfg)
 
 
 def test_jacobian_term_matches_direct_computation():
