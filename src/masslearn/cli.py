@@ -189,7 +189,16 @@ def _spec_params(body: str, key: str, allowed: dict) -> dict:
 
 
 def parse_dataset_spec(spec: str, key: str) -> datamod.Dataset:
-    """Build a dataset from `blobs:...`, `cifar10:...` or `cache:PATH`."""
+    """Build a dataset from `blobs:...`, `cifar10:...` or `cache:PATH`; every
+    feature must be finite."""
+    ds = _build_dataset(spec, key)
+    finite = np.isfinite(ds.features).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"{key}: non-finite feature in row {int(np.argmin(finite))}")
+    return ds
+
+
+def _build_dataset(spec: str, key: str) -> datamod.Dataset:
     if spec.startswith("blobs:") or spec == "blobs":
         body = spec[len("blobs:"):] if ":" in spec else ""
         p = _spec_params(body, key, {

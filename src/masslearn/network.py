@@ -1,19 +1,29 @@
 """Multilayer perceptron with exact input Jacobians.
 
 The network is a stack of hidden blocks (linear -> optional batchnorm ->
-nonlinearity -> optional dropout) followed by a final linear layer.  Two
-forward implementations are kept in lockstep:
+nonlinearity -> optional dropout) followed by a final linear layer.
 
 * `forward_fast` runs plain numpy and is used for evaluation, metrics and
   Jacobian studies;
 * `forward_nodes` builds the same arithmetic on an autodiff tape and is used
   by training losses.  Tests assert the two agree bit-for-bit.
 
+Every hidden block acts on its input as W_l followed by a per-sample diagonal
+scale s_l = invstd_l * bn_scale_l * elu'(z_l) * mask_l, so the input Jacobian
+of one sample is the chain product D = W_L S_{L-1} W_{L-1} ... S_0 W_0.
+`jacobian_batch` builds it from the output side for a whole batch, and the
+volume term log J_f = 0.5 log det(D D^T + jitter I) of the training loss
+(`log_jacobian_nodes`) is one first-order tape node over that same product:
+its parents are the weights and the scales s_l, the scales are ordinary tape
+nodes, and its gradient is closed-form numpy.  `jacobian_matrix` is an
+independent reference built from reverse sweeps of the tape.
+
 Batchnorm statistics are treated as constants of the current batch when
-differentiating (both with respect to inputs and weights).  That makes the
-network a single deterministic map per step, so its per-sample Jacobian is
-well defined and matches what the loss terms see.  Dropout masks are one
-vector per hidden layer, shared across the batch, for the same reason.
+differentiating with respect to inputs (parameter gradients still flow
+through them).  That makes the network a single deterministic map per step,
+so its per-sample Jacobian is well defined and matches what the loss terms
+see.  Dropout masks are one vector per hidden layer, shared across the
+batch, for the same reason.
 
 The log-Jacobian J_f(x) = sqrt(det(Df Df^T)) requires output_dim <=
 input_dim; Jacobian routines enforce this even though the config itself
@@ -26,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import autodiff as ad
 from . import rng as rngmod
@@ -176,7 +187,7 @@ def forward_fast(params: MlpParams, x, mode: str = "eval", dropout_mask: Dropout
             mean, invstd = _hidden_stats(params, li, z, mode, batch_stats, update_running)
             stats_used.append((mean, invstd))
             z = (z - mean) * np.broadcast_to(invstd, z.shape)
-            z = z * np.tile(params.bn_scale[li], (z.shape[0], 1)) + params.bn_shift[li]
+            z = z * params.bn_scale[li] + params.bn_shift[li]
         if cfg.nonlinearity == "elu":
             z = np.where(z > 0, z, np.expm1(z))
         if dropout_mask is not None and cfg.dropout_rate > 0.0:
@@ -220,29 +231,52 @@ def _stat_nodes(tape: ad.Tape, params: MlpParams, li: int, z: ad.Node, mode: str
     return mean_nd, invstd_nd
 
 
-def forward_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpParams, x_node: ad.Node,
-                  mode: str = "eval", dropout_mask: DropoutMask | None = None,
-                  batch_stats=None, update_running: bool = False):
-    """Tape twin of forward_fast; returns (output node, batch stats used)."""
+def _hidden_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpParams, x_node: ad.Node,
+                  mode: str, dropout_mask: DropoutMask | None, batch_stats, update_running: bool,
+                  scales: list | None = None):
+    """The hidden blocks on the tape; returns (last hidden node, batch stats used).
+
+    When `scales` is a list, each block's input-Jacobian diagonal s_l is
+    appended to it as an (n, width) node.
+    """
     cfg = params.config
     h = x_node
     n = h.value.shape[0]
     stats_used = []
     for li in range(len(cfg.hidden_dims)):
         z = ad.add(ad.matmul(h, ad.transpose(pnodes[f"w{li}"])), pnodes[f"b{li}"])
+        s = None
         if cfg.use_batchnorm:
             mean_nd, invstd_nd = _stat_nodes(tape, params, li, z, mode, batch_stats, update_running)
             stats_used.append((mean_nd, invstd_nd))
             zc = ad.sub(z, ad.tile_rows(mean_nd, n))
             zn = ad.mul(zc, ad.tile_rows(invstd_nd, n))
             z = ad.add(ad.mul(zn, ad.tile_rows(pnodes[f"bn_scale{li}"], n)), pnodes[f"bn_shift{li}"])
+            if scales is not None:
+                s = ad.tile_rows(ad.mul(invstd_nd, pnodes[f"bn_scale{li}"]), n)
         if cfg.nonlinearity == "elu":
+            if scales is not None:
+                s = ad.elu_grad(z) if s is None else ad.mul(s, ad.elu_grad(z))
             z = ad.elu(z)
         if dropout_mask is not None and cfg.dropout_rate > 0.0:
-            z = ad.mul(z, tape.constant(np.broadcast_to(dropout_mask.masks[li], z.value.shape).copy()))
+            mask = tape.constant(np.broadcast_to(dropout_mask.masks[li], z.value.shape).copy())
+            z = ad.mul(z, mask)
+            if scales is not None:
+                s = mask if s is None else ad.mul(s, mask)
+        if scales is not None:
+            scales.append(tape.constant(np.ones(z.value.shape)) if s is None else s)
         h = z
-    out = ad.add(ad.matmul(h, ad.transpose(pnodes[f"w{len(cfg.hidden_dims)}"])),
-                 pnodes[f"b{len(cfg.hidden_dims)}"])
+    return h, stats_used
+
+
+def forward_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpParams, x_node: ad.Node,
+                  mode: str = "eval", dropout_mask: DropoutMask | None = None,
+                  batch_stats=None, update_running: bool = False):
+    """Tape twin of forward_fast; returns (output node, batch stats used)."""
+    h, stats_used = _hidden_nodes(tape, pnodes, params, x_node, mode, dropout_mask,
+                                  batch_stats, update_running)
+    last = len(params.config.hidden_dims)
+    out = ad.add(ad.matmul(h, ad.transpose(pnodes[f"w{last}"])), pnodes[f"b{last}"])
     return out, stats_used
 
 
@@ -258,7 +292,8 @@ def jacobian_matrix(params: MlpParams, x, mode: str = "eval",
     """(output_dim, input_dim) Jacobian of one sample.
 
     Row i is the gradient of output coordinate i with respect to x, obtained
-    by output_dim reverse passes over one shared forward tape.
+    by output_dim reverse sweeps over one shared forward tape.  This is the
+    reference that jacobian_batch is tested against.
     """
     _require_jacobian_shape(params.config)
     xb = _as_batch(x)
@@ -269,84 +304,105 @@ def jacobian_matrix(params: MlpParams, x, mode: str = "eval",
     x_leaf = tape.leaf(xb)
     out, _ = forward_nodes(tape, pnodes, params, x_leaf, mode=mode,
                            dropout_mask=dropout_mask, batch_stats=batch_stats)
-    rows = []
-    for i in range(params.config.output_dim):
-        (g,) = ad.grad_nodes(ad.at(out, 0, i), [x_leaf])
-        rows.append(np.zeros(xb.shape[1]) if g is None else g.value[0].copy())
+    eye = np.eye(params.config.output_dim)
+    rows = [ad.backward(ad.sum_all(ad.mul(out, tape.constant(e[None]))), [x_leaf])[x_leaf][0]
+            for e in eye]
     return np.stack(rows)
+
+
+def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (..., k) @ b (k, m) as one GEMM over the flattened leading axes."""
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
+
+
+def _chain_product(weights, scales, n: int):
+    """D = W_L S_{L-1} W_{L-1} ... S_0 W_0 for n samples, from the output side.
+
+    weights are the (fan_out, fan_in) matrices, scales the (n, width)
+    diagonals of the hidden blocks.  Returns D (n, r, d) and the left
+    products X_l = W_L S_{L-1} ... W_{l+1}, (n, r, width_l), one per block.
+    """
+    jac = np.broadcast_to(weights[-1], (n, *weights[-1].shape)).copy()
+    lefts = []
+    for w, s in zip(weights[-2::-1], scales[::-1]):
+        lefts.append(jac)
+        jac = _rows_matmul(jac * s[:, None, :], w)
+    return jac, lefts[::-1]
 
 
 def jacobian_batch(params: MlpParams, x, mode: str = "eval",
                    dropout_mask: DropoutMask | None = None, batch_stats=None) -> np.ndarray:
     """(N, output_dim, input_dim) Jacobians, vectorized.
 
-    Accumulates the chain product from the output side, so the peak
-    intermediate is (N, output_dim, widest_hidden).  Agrees with
-    jacobian_matrix to the last bit (tested), it is just faster.
+    The hidden blocks run once on the tape for their scales s_l; the chain
+    product is then built from the output side, so the peak intermediate is
+    (N, output_dim, widest layer).  Agrees with jacobian_matrix to round-off
+    (tested), it is just faster.
     """
     _require_jacobian_shape(params.config)
-    cfg = params.config
     xb = _as_batch(x)
-    n = xb.shape[0]
-
-    # Forward pass collecting the diagonal scale of each hidden block.
-    h = xb
-    scales = []
-    for li in range(len(cfg.hidden_dims)):
-        z = h @ params.weights[li].T + params.biases[li]
-        s = np.ones_like(z)
-        if cfg.use_batchnorm:
-            mean, invstd = _hidden_stats(params, li, z, mode, batch_stats, False)
-            z = (z - mean) * np.broadcast_to(invstd, z.shape)
-            z = z * np.tile(params.bn_scale[li], (z.shape[0], 1)) + params.bn_shift[li]
-            s = s * (invstd * params.bn_scale[li])
-        if cfg.nonlinearity == "elu":
-            s = s * np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
-            z = np.where(z > 0, z, np.expm1(z))
-        if dropout_mask is not None and cfg.dropout_rate > 0.0:
-            mask = dropout_mask.masks[li]
-            s = s * mask
-            z = z * np.broadcast_to(mask, z.shape)
-        scales.append(s)
-        h = z
-
-    jac = np.broadcast_to(params.weights[-1], (n, cfg.output_dim, cfg.hidden_dims[-1] if cfg.hidden_dims else cfg.input_dim)).copy()
-    for li in reversed(range(len(cfg.hidden_dims))):
-        jac = jac * scales[li][:, None, :]
-        jac = jac @ params.weights[li]
-    return jac
+    tape = ad.Tape()
+    scales: list[ad.Node] = []
+    _hidden_nodes(tape, make_param_nodes(tape, params), params, tape.constant(xb), mode,
+                  dropout_mask, batch_stats, False, scales=scales)
+    return _chain_product(params.weights, [s.value for s in scales], xb.shape[0])[0]
 
 
-def _degenerate(sample_index):
-    where = "" if sample_index is None else f" at sample index {sample_index}"
-    return DegenerateJacobianError(f"degenerate Jacobian{where}")
+def _degenerate(sample_index: int):
+    return DegenerateJacobianError(f"degenerate Jacobian at sample index {sample_index}")
 
 
-def _half_logdet_gram(d: np.ndarray, jitter: float, sample_index=None) -> float:
-    gram = d @ d.T
-    r = gram.shape[0]
-    if not np.isfinite(gram).all():
-        raise _degenerate(sample_index)
-    for attempt, jit in enumerate((jitter, max(jitter, JITTER_RETRY))):
-        try:
-            chol = np.linalg.cholesky(0.5 * (gram + gram.T) + jit * np.eye(r))
-            return float(np.sum(np.log(np.diagonal(chol))))
-        except np.linalg.LinAlgError:
-            if attempt == 1 or jitter >= JITTER_RETRY:
+def _gram_cholesky(jac: np.ndarray, jitter: float) -> np.ndarray:
+    """(n, r, r) Cholesky factors of sym(D D^T) + jitter I for D of shape (n, r, d).
+
+    One batched factorization; if it fails, each sample is factored on its
+    own and one that fails is retried at JITTER_RETRY.
+    """
+    gram = jac @ np.swapaxes(jac, 1, 2)
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    if not finite.all():
+        raise _degenerate(int(np.argmin(finite)))
+    gram = 0.5 * (gram + np.swapaxes(gram, 1, 2))
+    eye = np.eye(gram.shape[1])
+    try:
+        return np.linalg.cholesky(gram + jitter * eye)
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.empty_like(gram)
+    jitters = (jitter, JITTER_RETRY) if jitter < JITTER_RETRY else (jitter,)
+    for i, g in enumerate(gram):
+        for jit in jitters:
+            try:
+                chol[i] = np.linalg.cholesky(g + jit * eye)
                 break
-    raise _degenerate(sample_index)
+            except np.linalg.LinAlgError:
+                pass
+        else:
+            raise _degenerate(i)
+    return chol
+
+
+def _half_logdet(chol: np.ndarray) -> np.ndarray:
+    return np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+
+
+def half_logdet_gram(jac: np.ndarray, jitter: float) -> np.ndarray:
+    """(n,) of 0.5 * log det(sym(D D^T) + jitter I) for Jacobians D of shape (n, r, d).
+
+    A sample whose factorization fails is retried once at JITTER_RETRY; a
+    non-finite Gram matrix or a second failure raises DegenerateJacobianError
+    naming the sample index.
+    """
+    return _half_logdet(_gram_cholesky(jac, jitter))
 
 
 def log_jacobian_determinant(params: MlpParams, x, jitter: float = JITTER_DEFAULT,
                              mode: str = "eval", dropout_mask: DropoutMask | None = None,
-                             batch_stats=None, sample_index=None) -> float:
-    """log J_f(x) = 0.5 * log det(Df Df^T + jitter I).
-
-    On a Cholesky failure the jitter is retried once at 1e-8 before raising
-    a degenerate-Jacobian error.
-    """
+                             batch_stats=None) -> float:
+    """log J_f(x) = 0.5 * log det(Df Df^T + jitter I) of one sample, from the
+    reference jacobian_matrix."""
     d = jacobian_matrix(params, x, mode=mode, dropout_mask=dropout_mask, batch_stats=batch_stats)
-    return _half_logdet_gram(d, jitter, sample_index)
+    return float(half_logdet_gram(d[None], jitter)[0])
 
 
 def log_jacobian_batch(params: MlpParams, x, jitter: float = JITTER_DEFAULT,
@@ -354,7 +410,26 @@ def log_jacobian_batch(params: MlpParams, x, jitter: float = JITTER_DEFAULT,
                        batch_stats=None) -> np.ndarray:
     """(N,) of log J_f values via the vectorized Jacobian path."""
     jac = jacobian_batch(params, x, mode=mode, dropout_mask=dropout_mask, batch_stats=batch_stats)
-    return np.array([_half_logdet_gram(jac[i], jitter, sample_index=i) for i in range(jac.shape[0])])
+    return half_logdet_gram(jac, jitter)
+
+
+def _volume_vjp(weights, scales, lefts, jac, chol, g):
+    """Gradients of sum_n g_n * 0.5 log det(D_n D_n^T + jI) in the weights and
+    the scales.  With G = g (D D^T + jI)^-1 D, R_0 = G and
+    R_{l+1} = (R_l W_l^T) * s_l: dW_l = (X_l * s_l)^T R_l, ds_l = sum_r
+    X_l * (R_l W_l^T), and dW_L = sum_n R_L."""
+    n, r = jac.shape[:2]
+    y = scipy.linalg.solve_triangular(chol, jac, lower=True, check_finite=False)
+    resid = scipy.linalg.solve_triangular(chol, y, trans="T", lower=True, check_finite=False)
+    resid *= g[:, None, None]
+    d_weights, d_scales = [], []
+    for w, s, x in zip(weights, scales, lefts):
+        d_weights.append((x * s[:, None, :]).reshape(n * r, -1).T @ resid.reshape(n * r, -1))
+        back = _rows_matmul(resid, w.T)
+        d_scales.append((x * back).sum(axis=1))
+        resid = back * s[:, None, :]
+    d_weights.append(resid.sum(axis=0))
+    return (*d_weights, *d_scales)
 
 
 def log_jacobian_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpParams,
@@ -362,42 +437,29 @@ def log_jacobian_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpPar
                        dropout_mask: DropoutMask | None = None, batch_stats=None) -> list[ad.Node]:
     """Per-sample log J_f as tape nodes, differentiable with respect to weights.
 
-    One forward pass is shared; output_dim reverse sweeps with respect to the
-    input produce the Jacobian rows for every sample at once.  Rows of the
-    batch do not interact because any batchnorm statistics come from the main
-    pass (via batch_stats) or the running averages, never from x_leaf itself;
-    parameter gradients still flow through statistics passed in as nodes.
+    The hidden blocks run on x_leaf to give the scales s_l as tape nodes;
+    one first-order node then holds all n values 0.5 log det(D D^T + jI)
+    of the chain product D and returns closed-form gradients in the weights
+    and the scales, from which the tape carries them on to biases, batchnorm
+    parameters and statistics.  Rows of the batch do not interact:
+    batchnorm statistics come from the main pass (batch_stats, as nodes or
+    arrays) or the running averages, and count as constants of x.  Returns
+    one scalar node per sample.
     """
     _require_jacobian_shape(params.config)
     n = x_leaf.value.shape[0]
-    r = params.config.output_dim
-    out, _ = forward_nodes(tape, pnodes, params, x_leaf, mode=mode,
-                           dropout_mask=dropout_mask, batch_stats=batch_stats)
-    coord_grads = []
-    for j in range(r):
-        (g,) = ad.grad_nodes(ad.sum_all(ad.col(out, j)), [x_leaf])
-        if g is None:
-            g = tape.constant(np.zeros_like(x_leaf.value))
-        coord_grads.append(g)
-
-    eye = np.eye(r)
-    logdets = []
-    for i in range(n):
-        d_i = ad.vstack([ad.row(coord_grads[j], i) for j in range(r)])
-        gram = ad.matmul(d_i, ad.transpose(d_i))
-        if not np.isfinite(gram.value).all():
-            raise _degenerate(i)
-        try:
-            ld = ad.logdet_spd(ad.add(gram, tape.constant(jitter * eye)))
-        except ad.NotPositiveDefiniteError:
-            if jitter >= JITTER_RETRY:
-                raise DegenerateJacobianError(f"degenerate Jacobian at sample index {i}") from None
-            try:
-                ld = ad.logdet_spd(ad.add(gram, tape.constant(JITTER_RETRY * eye)))
-            except ad.NotPositiveDefiniteError:
-                raise DegenerateJacobianError(f"degenerate Jacobian at sample index {i}") from None
-        logdets.append(ad.mul(0.5, ld))
-    return logdets
+    scale_nodes: list[ad.Node] = []
+    _hidden_nodes(tape, pnodes, params, x_leaf, mode, dropout_mask, batch_stats, False,
+                  scales=scale_nodes)
+    weight_nodes = [pnodes[f"w{li}"] for li in range(len(params.weights))]
+    weights = [w.value for w in weight_nodes]
+    scales = [s.value for s in scale_nodes]
+    jac, lefts = _chain_product(weights, scales, n)
+    chol = _gram_cholesky(jac, jitter)
+    vol = ad.first_order(
+        (*weight_nodes, *scale_nodes), _half_logdet(chol),
+        lambda g: _volume_vjp(weights, scales, lefts, jac, chol, g), "log_jacobian")
+    return [ad.dot(vol, tape.constant(e)) for e in np.eye(n)]
 
 
 def amgm_slack(jac: np.ndarray, jitter: float = JITTER_DEFAULT) -> np.ndarray:

@@ -114,7 +114,7 @@ def mass_minibatch_loss(net_params: net.MlpParams, mixture: mx.ClassConditionalM
     if cfg.beta != 0.0:
         r = net_params.config.output_dim
         n_sub = jacobian_subbatch_size(n, r) if cfg.subsample_jacobian else n
-        x_sub = tape.leaf(x[:n_sub])
+        x_sub = tape.constant(x[:n_sub])
         log_dets = net.log_jacobian_nodes(tape, pnodes, net_params, x_sub, jitter=cfg.jitter,
                                           mode="train", dropout_mask=dropout_mask,
                                           batch_stats=stats)
@@ -214,7 +214,7 @@ def _eval_terms(net_params, mixture, x, y, cfg: TrainConfig):
         return cond_term, ent_term, float("nan"), 0
     n_sub = jacobian_subbatch_size(len(x), cfg_net.output_dim) if cfg.subsample_jacobian else len(x)
     jac = net.jacobian_batch(net_params, x[:n_sub], mode="eval")
-    log_dets = np.array([net._half_logdet_gram(jac[i], cfg.jitter, i) for i in range(n_sub)])
+    log_dets = net.half_logdet_gram(jac, cfg.jitter)
     slack = net.amgm_slack(jac, jitter=cfg.jitter)
     tol = 1e-9 * np.maximum(1.0, np.abs(2.0 * log_dets))
     violations = int((slack < -tol).sum())

@@ -40,32 +40,6 @@ def test_logsumexp_empty_raises():
         ad.logsumexp_rows(t.leaf(np.zeros((3, 0))))
 
 
-def test_logdet_spd_values():
-    t = ad.Tape()
-    assert ad.logdet_spd(t.leaf(np.eye(3))).item() == pytest.approx(0.0, abs=1e-12)
-    assert ad.logdet_spd(t.leaf(np.diag([4.0, 9.0]))).item() == pytest.approx(math.log(36), abs=1e-12)
-    m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert ad.logdet_spd(t.leaf(m)).item() == pytest.approx(math.log(3), abs=1e-12)
-
-
-def test_logdet_spd_rejects_indefinite():
-    t = ad.Tape()
-    with pytest.raises(ad.NotPositiveDefiniteError, match="not positive definite"):
-        ad.logdet_spd(t.leaf(np.array([[1.0, 0.0], [0.0, -1.0]])))
-
-
-def test_logdet_matches_cholesky_factor_sum():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        n = rng.integers(2, 6)
-        l_fac = np.tril(rng.normal(size=(n, n)))
-        l_fac[np.arange(n), np.arange(n)] = 0.3 + np.abs(l_fac.diagonal())
-        t = ad.Tape()
-        got = ad.logdet_spd(t.leaf(l_fac @ l_fac.T)).item()
-        want = 2.0 * np.sum(np.log(l_fac.diagonal()))
-        assert got == pytest.approx(want, abs=1e-12)
-
-
 def test_two_path_accumulation():
     # z = x*y + x must accumulate both paths into dz/dx = y + 1.
     t = ad.Tape()
@@ -125,36 +99,10 @@ def test_repeated_backward_same_tape():
     x = t.leaf(np.array([1.0, 2.0]))
     w = t.leaf(np.array([[3.0, 0.0], [0.0, 5.0]]))
     y = ad.matmul(ad.reshape(x, (1, 2)), w)
-    g0 = ad.backward(ad.at(y, 0, 0), [x])[x]
-    g1 = ad.backward(ad.at(y, 0, 1), [x])[x]
+    g0 = ad.backward(ad.sum_all(ad.mul(y, t.constant([[1.0, 0.0]]))), [x])[x]
+    g1 = ad.backward(ad.sum_all(ad.mul(y, t.constant([[0.0, 1.0]]))), [x])[x]
     np.testing.assert_allclose(g0, [3.0, 0.0], atol=0)
     np.testing.assert_allclose(g1, [0.0, 5.0], atol=0)
-
-
-def test_backward_of_backward_matches_finite_differences():
-    # loss(W) = sum_j (d/dx_j of sum(elu(x @ W.T)))^2 exercises gradients of
-    # nodes that were themselves emitted by a reverse sweep.
-    rng = np.random.default_rng(3)
-    w0 = rng.normal(size=(3, 2))
-    x0 = rng.normal(size=(1, 2)) + 0.3
-
-    def loss_value(w_arr):
-        t = ad.Tape()
-        x = t.leaf(x0)
-        w = t.leaf(w_arr)
-        out = ad.sum_all(ad.elu(ad.matmul(x, ad.transpose(w))))
-        (gx,) = ad.grad_nodes(out, [x])
-        return ad.sum_all(ad.mul(gx, gx)), t, w
-
-    loss, t, w = loss_value(w0)
-    analytic = ad.backward(loss, [w])[w]
-    eps = 1e-6
-    for i in range(w0.shape[0]):
-        for j in range(w0.shape[1]):
-            hi = w0.copy(); hi[i, j] += eps
-            lo = w0.copy(); lo[i, j] -= eps
-            numeric = (float(loss_value(hi)[0].value) - float(loss_value(lo)[0].value)) / (2 * eps)
-            assert analytic[i, j] == pytest.approx(numeric, abs=1e-6), (i, j)
 
 
 def test_deterministic_bit_identical():

@@ -104,6 +104,26 @@ def test_missing_dataset_path_names_key(tmp_path, capsys):
     assert "dataset" in captured.err and "missing.bin" in captured.err
 
 
+def test_non_finite_features_are_exit_2_and_name_the_row(tmp_path, capsys):
+    ds, _ = datamod.gaussian_blobs(48, 3, 4, 4.0, 0)
+    ds.features[3, 1] = np.nan
+    path = tmp_path / "nan.bin"
+    datamod.save_dataset(path, ds)
+    train_cfg = _write(tmp_path / "train.cfg", f"dataset=cache:{path}\nrepresentation_dim=2\n")
+    rc = cli.main(["train", "--config", train_cfg, "--out", str(tmp_path / "t")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "dataset: non-finite feature in row 3" in err
+
+    ckpt_path = _quick_checkpoint(tmp_path)
+    capsys.readouterr()
+    eval_cfg = _write(tmp_path / "eval.cfg", f"checkpoint={ckpt_path}\ndataset=cache:{path}\n")
+    rc = cli.main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "dataset: non-finite feature in row 3" in err
+
+
 def test_mass_beta_zero_and_softmaxce_both_run(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

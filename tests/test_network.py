@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masslearn import autodiff as ad
 from masslearn import network as net
@@ -182,6 +183,56 @@ def test_zero_jacobian_recovers_via_jitter_retry():
     params.weights[0] = np.zeros((2, 2))
     got = net.log_jacobian_determinant(params, np.zeros(2), jitter=0.0)
     assert got == pytest.approx(0.5 * np.log(1e-8) * 2, rel=1e-9)
+
+
+def test_half_logdet_gram_values_retry_and_errors():
+    assert net.half_logdet_gram(np.eye(3)[None], 0.0)[0] == pytest.approx(0.0, abs=1e-15)
+    assert net.half_logdet_gram(np.diag([2.0, 3.0])[None], 0.0)[0] == pytest.approx(np.log(6.0), abs=1e-15)
+    gen = np.random.default_rng(7)
+    l_fac = np.tril(gen.normal(size=(20, 4, 4)))
+    diag = np.diagonal(l_fac, axis1=1, axis2=2)
+    l_fac[:, np.arange(4), np.arange(4)] = np.sign(diag) * (0.3 + np.abs(diag))
+    want = np.log(np.abs(np.diagonal(l_fac, axis1=1, axis2=2))).sum(axis=1)
+    np.testing.assert_allclose(net.half_logdet_gram(l_fac, 0.0), want, rtol=0, atol=1e-12)
+
+    # only sample 2 is singular at jitter 0: it alone is retried at JITTER_RETRY
+    jac = gen.normal(size=(4, 2, 3))
+    jac[2] = 0.0
+    got = net.half_logdet_gram(jac, 0.0)
+    assert got[2] == pytest.approx(np.log(net.JITTER_RETRY), rel=1e-12)
+    for i in (0, 1, 3):
+        assert got[i] == net.half_logdet_gram(jac[i:i + 1], 0.0)[0]
+
+    jac[1, 0, 0] = np.nan
+    with pytest.raises(net.DegenerateJacobianError, match="sample index 1"):
+        net.half_logdet_gram(jac, 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), r=st.integers(1, 4), extra=st.integers(0, 3),
+       hidden=st.lists(st.integers(1, 6), max_size=2), batchnorm=st.booleans(),
+       dropout=st.sampled_from([0.0, 0.3]), n=st.integers(1, 5), stat_nodes=st.booleans())
+def test_volume_node_matches_log_jacobian_batch(seed, r, extra, hidden, batchnorm, dropout, n,
+                                                stat_nodes):
+    # batch statistics reach the node as arrays or, as in training, as the
+    # main tape pass's nodes
+    cfg = net.MlpConfig(input_dim=r + extra, hidden_dims=tuple(h + r for h in hidden), output_dim=r,
+                        use_batchnorm=batchnorm, dropout_rate=dropout)
+    params = net.mlp_init(cfg, seed=seed % 1000)
+    gen = np.random.default_rng(seed)
+    mask = net.sample_dropout_mask(cfg, gen)
+    x = gen.normal(size=(n + 2, cfg.input_dim))
+    tape = ad.Tape()
+    pnodes = net.make_param_nodes(tape, params)
+    _, stats = net.forward_nodes(tape, pnodes, params, tape.constant(x), mode="train",
+                                 dropout_mask=mask)
+    arrays = [(mean.value, invstd.value) for mean, invstd in stats]
+    want = net.log_jacobian_batch(params, x[:n], jitter=1e-6, mode="train",
+                                  dropout_mask=mask, batch_stats=arrays)
+    nodes = net.log_jacobian_nodes(tape, pnodes, params, tape.constant(x[:n]), jitter=1e-6,
+                                   mode="train", dropout_mask=mask,
+                                   batch_stats=stats if stat_nodes else arrays)
+    np.testing.assert_allclose([v.item() for v in nodes], want, rtol=0, atol=1e-10)
 
 
 def test_amgm_slack_nonnegative():

@@ -136,6 +136,48 @@ def test_divergence_is_typed_and_names_the_step(monkeypatch):
         tr.train(train, None, cfg_net, cfg)
 
 
+def test_volume_loss_gradient_matches_central_differences():
+    # beta > 0 with batchnorm, dropout and two hidden layers: every network
+    # and mixture coordinate of the assembled loss against central differences
+    cfg_net = net.MlpConfig(input_dim=3, hidden_dims=(5, 4), output_dim=2,
+                            use_batchnorm=True, dropout_rate=0.25)
+    params = net.mlp_init(cfg_net, seed=5)
+    mixture = mx.mixture_init(2, 2, 2, seed=6, mean_scale=0.8)
+    gen = np.random.default_rng(7)
+    x = gen.normal(size=(8, 3))
+    y = gen.integers(0, 2, size=8)
+    mask = net.sample_dropout_mask(cfg_net, gen)
+    assert all((m > 0).sum() >= 2 for m in mask.masks)
+    cfg = tr.TrainConfig(beta=0.37, jitter=1e-9)
+    _, net_grads, mix_grads = tr.mass_minibatch_loss(params, mixture, x, y, cfg, dropout_mask=mask)
+
+    eps = 1e-6
+    worst = 0.0
+    for store, grads in ((net.param_arrays(params), net_grads),
+                         (mx.mixture_param_arrays(mixture), mix_grads)):
+        for name, arr in store.items():
+            flat = arr.reshape(-1)
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + eps
+                hi = tr.mass_minibatch_loss(params, mixture, x, y, cfg, dropout_mask=mask)[0].total
+                flat[k] = orig - eps
+                lo = tr.mass_minibatch_loss(params, mixture, x, y, cfg, dropout_mask=mask)[0].total
+                flat[k] = orig
+                a = grads[name].reshape(-1)[k]
+                worst = max(worst, abs(a - (hi - lo) / (2 * eps)) / max(1.0, abs(a)))
+    assert worst <= 1e-4
+
+
+def test_gradients_share_no_memory():
+    x, y, params, mixture = _toy_problem(5, hidden=(6, 5))
+    _, net_grads, mix_grads = tr.mass_minibatch_loss(params, mixture, x, y, tr.TrainConfig(beta=0.5))
+    grads = list(net_grads.values()) + list(mix_grads.values())
+    leaves = list(net.param_arrays(params).values()) + list(mx.mixture_param_arrays(mixture).values())
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1:] + leaves)
+
+
 def test_jacobian_term_matches_direct_computation():
     x, y, params, mixture = _toy_problem(7, n=10)
     cfg = tr.TrainConfig(beta=0.5, subsample_jacobian=True)
