@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from masslearn import autodiff as ad
+from masslearn import network as net
 
 
 def test_elu_values():
@@ -38,6 +39,31 @@ def test_logsumexp_empty_raises():
     t = ad.Tape()
     with pytest.raises(ValueError, match="empty reduction"):
         ad.logsumexp_rows(t.leaf(np.zeros((3, 0))))
+
+
+def _logdet_spd(a, d):
+    # log det of the SPD matrix a = d d^T, by the Gram routine behind the tape's volume node
+    np.testing.assert_allclose(d @ d.T, a, rtol=0, atol=1e-14)
+    return 2.0 * net.half_logdet_gram(d[None], 0.0)[0]
+
+
+def test_logdet_spd_values():
+    assert _logdet_spd(np.eye(3), np.eye(3)) == pytest.approx(0.0, abs=1e-12)
+    assert _logdet_spd(np.diag([4.0, 9.0]), np.diag([2.0, 3.0])) == pytest.approx(math.log(36), abs=1e-12)
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])
+    d = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    assert _logdet_spd(m, d) == pytest.approx(math.log(3), abs=1e-12)
+
+
+def test_logdet_matches_cholesky_factor_sum():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = rng.integers(2, 6)
+        l_fac = np.tril(rng.normal(size=(n, n)))
+        l_fac[np.arange(n), np.arange(n)] = 0.3 + np.abs(l_fac.diagonal())
+        got = _logdet_spd(l_fac @ l_fac.T, l_fac)
+        want = 2.0 * np.sum(np.log(l_fac.diagonal()))
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_two_path_accumulation():
