@@ -5,7 +5,8 @@ operation appends a Node to a Tape; the tape order is a topological order by
 construction, so backward() is a single reverse sweep.
 
 The tape is first order.  A node's backward rule (its VJP) maps the upstream
-gradient array to one gradient array per parent, computed in numpy, and the
+gradient array to one gradient array per parent (None for a parent that
+needs none, such as a constant operand of matmul), computed in numpy, and the
 sweep appends nothing to the tape.  Quantities that would need a gradient of
 a gradient, such as the log-volume of the network's input Jacobian, are
 written as one `first_order` node whose value and VJP are closed-form numpy
@@ -47,7 +48,7 @@ class Node:
         self.tape = tape
         self.value = value
         self.parents = parents
-        self.vjp = vjp  # callable grad array -> tuple of parent grad arrays, or None
+        self.vjp = vjp  # callable grad array -> tuple of parent grad arrays (or None each), or None
         self.op = op
         self.index = len(tape.nodes)
         tape.nodes.append(self)
@@ -236,7 +237,9 @@ def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul: inner dims differ, {a.value.shape} @ {b.value.shape}")
     out = Node(a.tape, a.value @ b.value, (a, b), None, "matmul")
-    out.vjp = lambda g: (g @ b.value.T, a.value.T @ g)
+    # no gradient product for a tape constant, such as the input batch
+    out.vjp = lambda g: (None if a.op == "const" else g @ b.value.T,
+                         None if b.op == "const" else a.value.T @ g)
     return out
 
 
@@ -356,6 +359,8 @@ def backward(output: Node, leaves) -> dict[Node, np.ndarray]:
         if g is None or node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is None:
+                continue
             held = grads.get(parent)
             grads[parent] = pg if held is None else held + pg
     return {leaf: grads[leaf] if leaf in grads else np.zeros_like(leaf.value) for leaf in leaves}

@@ -14,6 +14,9 @@ Classification goes through Bayes rule on log densities:
 The log density q(z | y) is one numpy function over the three parameter
 tensors a checkpoint stores.  Scoring calls it; training wraps it as one
 tape node with a closed-form gradient, so both paths agree bit-for-bit.
+Each call inverts all C K Cholesky factors at once by forward substitution;
+whitening the points for one class is then a single GEMM against that
+class's stacked inverses, in the density and in its gradient alike.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.special import expit
 
 from . import autodiff as ad
@@ -88,16 +90,40 @@ def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
     return np.log(np.exp(m - shift[:, None]).sum(axis=1)) + shift
 
 
-def _class_terms(means_c: np.ndarray, raw_c: np.ndarray, z: np.ndarray):
-    """One class at points z (N, r): factors L (K, r, r), whitened residuals
-    y = L^-1 (z - mu) as (K, r, N), and log N(z_i; mu_k, L_k L_k^T) as (N, K)."""
-    r = means_c.shape[-1]
-    l_fac = chol_factor(raw_c)
-    resid = np.swapaxes(z[None, :, :] - means_c[:, None, :], 1, 2)
-    y = scipy.linalg.solve_triangular(l_fac, resid, lower=True, check_finite=False)
-    sumlog = np.log(np.diagonal(l_fac, axis1=1, axis2=2)).sum(axis=1)
-    comp = (-0.5 * r * LOG_2PI) - (0.5 * (y * y).sum(axis=1) + sumlog[:, None])
-    return l_fac, y, comp.T
+def _tri_inverse(l_fac: np.ndarray) -> np.ndarray:
+    """Inverses of lower-triangular factors (..., r, r), by forward substitution
+    against the identity, one row at a time over every factor at once.  Raises
+    LinAlgError on an exactly zero diagonal entry, as a triangular solve does."""
+    r = l_fac.shape[-1]
+    diag = np.diagonal(l_fac, axis1=-2, axis2=-1)
+    if not np.all(diag):
+        raise np.linalg.LinAlgError("singular triangular factor: zero on the diagonal")
+    inv = np.zeros_like(l_fac)
+    eye = np.eye(r)
+    for i in range(r):
+        # row i of L^-1: (e_i - sum_{j<i} L_ij (L^-1)_j) / L_ii
+        acc = (l_fac[..., i:i + 1, :i] @ inv[..., :i, :])[..., 0, :]
+        inv[..., i, :] = (eye[i] - acc) / diag[..., i, None]
+    return inv
+
+
+def _factors(chol_raw: np.ndarray):
+    """Cholesky factors L, their inverses and sum_j log L_jj for every component."""
+    l_fac = chol_factor(chol_raw)
+    inv = _tri_inverse(l_fac)
+    return l_fac, inv, np.log(np.diagonal(l_fac, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _class_terms(means_c: np.ndarray, inv_c: np.ndarray, sumlog_c: np.ndarray, z: np.ndarray):
+    """One class at points z (N, r), from the inverse factors L^-1 (K, r, r):
+    whitened residuals y = L^-1 (z - mu) as a contiguous (N, K, r), one GEMM
+    z (L^-1 stacked as (K r, r))^T - L^-1 mu, and log N(z_i; mu_k, L_k L_k^T)
+    as (N, K)."""
+    n_comp, r = means_c.shape
+    y = (z @ inv_c.reshape(n_comp * r, r).T).reshape(len(z), n_comp, r)
+    y -= (inv_c @ means_c[:, :, None])[:, :, 0]
+    comp = (-0.5 * r * LOG_2PI) - (0.5 * np.einsum("nkj,nkj->nk", y, y) + sumlog_c)
+    return y, comp
 
 
 def _log_weights(weight_logits: np.ndarray) -> np.ndarray:
@@ -108,7 +134,8 @@ def class_log_density(means: np.ndarray, chol_raw: np.ndarray, weight_logits: np
                       z: np.ndarray) -> np.ndarray:
     """(N, C) of log q(z_i | y = c) from the three parameter tensors, no priors applied."""
     log_w = _log_weights(weight_logits)
-    cols = [_logsumexp_rows(_class_terms(means[c], chol_raw[c], z)[2] + log_w[c])
+    _, inv, sumlog = _factors(chol_raw)
+    cols = [_logsumexp_rows(_class_terms(means[c], inv[c], sumlog[c], z)[1] + log_w[c])
             for c in range(means.shape[0])]
     return np.stack(cols, axis=1)
 
@@ -117,24 +144,27 @@ def _class_log_density_vjp(means, chol_raw, weight_logits, z, out, g):
     """Gradients of sum(g * out) in z, means, chol_raw, weight_logits, where
     out = class_log_density(...).  With u = L^-T y and h = g * responsibility:
     dz = -sum h u, dmu = sum h u, dL = tril(sum h u y^T) - diag(sum h / L_jj),
-    dlogits = sum h - w sum g."""
+    dlogits = sum h - w sum g.  Per class, h u = (h y) L^-1 row by row, so dz
+    is one GEMM of h y as (N, K r) against L^-1 stacked as (K r, r), dmu is
+    (sum h y) L^-1, and dL = L^-T (h y)^T y is one batched matmul over K."""
     log_w = _log_weights(weight_logits)
+    l_fac, inv, sumlog = _factors(chol_raw)
+    n_comp, r = means.shape[1:]
     d_z = np.zeros_like(z)
     d_means = np.empty_like(means)
     d_raw = np.empty_like(chol_raw)
     d_logits = np.empty_like(weight_logits)
-    idx = np.arange(means.shape[-1])
+    idx = np.arange(r)
     for c in range(means.shape[0]):
-        # recomputed, not kept from the forward: keeping y would hold (C, K, r, N)
-        l_fac, y, comp = _class_terms(means[c], chol_raw[c], z)
+        # recomputed, not kept from the forward: keeping y would hold (C, N, K, r)
+        y, comp = _class_terms(means[c], inv[c], sumlog[c], z)
         h = g[:, c, None] * np.exp(comp + log_w[c] - out[:, c, None])      # (N, K)
-        u = scipy.linalg.solve_triangular(l_fac, y, trans="T", lower=True, check_finite=False)
-        hu = u * h.T[:, None, :]                                              # (K, r, N)
-        d_z -= hu.sum(axis=0).T
-        d_means[c] = hu.sum(axis=2)
+        hy = y * h[:, :, None]                                                # (N, K, r)
+        d_z -= hy.reshape(len(z), n_comp * r) @ inv[c].reshape(n_comp * r, r)
+        d_means[c] = (hy.sum(axis=0)[:, None, :] @ inv[c])[:, 0, :]
         h_sum = h.sum(axis=0)
-        d_l = np.tril(hu @ np.swapaxes(y, 1, 2))
-        d_l[:, idx, idx] -= h_sum[:, None] / l_fac[:, idx, idx]
+        d_l = np.tril(np.swapaxes(inv[c], 1, 2) @ (hy.transpose(1, 2, 0) @ y.transpose(1, 0, 2)))
+        d_l[:, idx, idx] -= h_sum[:, None] / l_fac[c][:, idx, idx]
         d_l[:, idx, idx] *= expit(chol_raw[c][:, idx, idx])
         d_raw[c] = d_l
         d_logits[c] = h_sum - np.exp(log_w[c]) * g[:, c].sum()

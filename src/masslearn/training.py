@@ -201,11 +201,11 @@ def _eval_terms(net_params, mixture, x, y, cfg: TrainConfig):
     network output is wider than its input (no Jacobian exists then).
     """
     z = net.forward_fast(net_params, x, mode="eval")
-    cond = mx.class_log_density_matrix(mixture, z)
-    marg = mx.marginal_log_density(mixture, z)
+    # the marginal from the one (N, C) matrix, as marginal_log_density forms it
     with np.errstate(divide="ignore"):
-        log_priors = np.log(mixture.class_priors)
-    post_own = cond[np.arange(len(y)), y] + log_priors[y] - marg
+        scored = mx.class_log_density_matrix(mixture, z) + np.log(mixture.class_priors)
+    marg = mx._logsumexp_rows(scored)
+    post_own = scored[np.arange(len(y)), y] - marg
     cond_term = float(-post_own.mean())
     ent_term = float(-marg.mean())
 

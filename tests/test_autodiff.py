@@ -144,3 +144,20 @@ def test_deterministic_bit_identical():
 
     first, second = build(), build()
     assert first == second
+
+
+def test_matmul_constant_operand_gets_no_gradient_product():
+    # the leaf's gradient is the two-sided one bit for bit; the constant's is never formed
+    gen = np.random.default_rng(3)
+    a, b = gen.normal(size=(4, 3)), gen.normal(size=(3, 5))
+    t = ad.Tape()
+    la, lb = t.leaf(a), t.leaf(b)
+    both = ad.backward(ad.sum_all(ad.matmul(la, lb)), [la, lb])
+    for const_left in (True, False):
+        t = ad.Tape()
+        left = t.constant(a) if const_left else t.leaf(a)
+        right = t.leaf(b) if const_left else t.constant(b)
+        out = ad.matmul(left, right)
+        leaf, want = (right, both[lb]) if const_left else (left, both[la])
+        np.testing.assert_array_equal(ad.backward(ad.sum_all(out), [leaf])[leaf], want)
+        assert out.vjp(np.ones(out.shape))[0 if const_left else 1] is None

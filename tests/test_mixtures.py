@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from masslearn import autodiff as ad
@@ -193,3 +196,97 @@ def test_label_out_of_range_rejected():
     m = unit_mixture(n_classes=2)
     with pytest.raises(ValueError, match="out of range"):
         mx.mixture_log_density(m, 5, np.array([0.0]))
+
+
+# Reference head: whitening by one triangular solve per component, as the
+# head computed before it moved onto precomputed inverse factors.
+
+
+def _ref_class_terms(means_c, raw_c, z):
+    r = means_c.shape[-1]
+    l_fac = mx.chol_factor(raw_c)
+    resid = np.swapaxes(z[None, :, :] - means_c[:, None, :], 1, 2)
+    y = scipy.linalg.solve_triangular(l_fac, resid, lower=True, check_finite=False)
+    sumlog = np.log(np.diagonal(l_fac, axis1=1, axis2=2)).sum(axis=1)
+    comp = (-0.5 * r * mx.LOG_2PI) - (0.5 * (y * y).sum(axis=1) + sumlog[:, None])
+    return l_fac, y, comp.T
+
+
+def _ref_class_log_density(means, chol_raw, weight_logits, z):
+    log_w = mx._log_weights(weight_logits)
+    cols = [mx._logsumexp_rows(_ref_class_terms(means[c], chol_raw[c], z)[2] + log_w[c])
+            for c in range(means.shape[0])]
+    return np.stack(cols, axis=1)
+
+
+def _ref_class_log_density_vjp(means, chol_raw, weight_logits, z, out, g):
+    log_w = mx._log_weights(weight_logits)
+    d_z = np.zeros_like(z)
+    d_means = np.empty_like(means)
+    d_raw = np.empty_like(chol_raw)
+    d_logits = np.empty_like(weight_logits)
+    idx = np.arange(means.shape[-1])
+    for c in range(means.shape[0]):
+        l_fac, y, comp = _ref_class_terms(means[c], chol_raw[c], z)
+        h = g[:, c, None] * np.exp(comp + log_w[c] - out[:, c, None])
+        u = scipy.linalg.solve_triangular(l_fac, y, trans="T", lower=True, check_finite=False)
+        hu = u * h.T[:, None, :]
+        d_z -= hu.sum(axis=0).T
+        d_means[c] = hu.sum(axis=2)
+        h_sum = h.sum(axis=0)
+        d_l = np.tril(hu @ np.swapaxes(y, 1, 2))
+        d_l[:, idx, idx] -= h_sum[:, None] / l_fac[:, idx, idx]
+        d_l[:, idx, idx] *= expit(chol_raw[c][:, idx, idx])
+        d_raw[c] = d_l
+        d_logits[c] = h_sum - np.exp(log_w[c]) * g[:, c].sum()
+    return d_z, d_means, d_raw, d_logits
+
+
+def _assert_head_matches_reference(n_classes, n_components, r, n, seed):
+    gen = np.random.default_rng(seed)
+    means = gen.normal(size=(n_classes, n_components, r))
+    # well conditioned: diagonals near 1 after softplus, small strict lower parts
+    chol_raw = np.tril(gen.normal(size=(n_classes, n_components, r, r)) * 0.3 / np.sqrt(r), -1)
+    idx = np.arange(r)
+    chol_raw[:, :, idx, idx] = mx.INV_SOFTPLUS_ONE + 0.5 * gen.normal(size=(n_classes, n_components, r))
+    weight_logits = gen.normal(size=(n_classes, n_components))
+    z = gen.normal(size=(n, r)) * 1.5
+    g = gen.normal(size=(n, n_classes))
+
+    want = _ref_class_log_density(means, chol_raw, weight_logits, z)
+    got = mx.class_log_density(means, chol_raw, weight_logits, z)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    wants = _ref_class_log_density_vjp(means, chol_raw, weight_logits, z, want, g)
+    gots = mx._class_log_density_vjp(means, chol_raw, weight_logits, z, want, g)
+    for name, got_d, want_d in zip(("z", "means", "chol_raw", "weight_logits"), gots, wants):
+        assert got_d.shape == want_d.shape, name
+        err = np.abs(got_d - want_d) / np.maximum(1.0, np.abs(want_d))
+        assert err.max() <= 1e-12, (name, err.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_classes=st.integers(1, 4), n_components=st.integers(1, 4), r=st.integers(1, 6),
+       n=st.integers(1, 40), seed=st.integers(0, 2**31 - 1))
+def test_head_matches_triangular_solve_reference(n_classes, n_components, r, n, seed):
+    _assert_head_matches_reference(n_classes, n_components, r, n, seed)
+
+
+def test_head_matches_triangular_solve_reference_at_cifar_shape():
+    _assert_head_matches_reference(10, 10, 15, 256, seed=3)
+
+
+def test_singular_factor_raises_where_the_triangular_solve_does():
+    m = mx.mixture_init(2, 2, 3, seed=0)
+    z = np.random.default_rng(1).normal(size=(5, 3))
+    m.chol_raw[1, 0, 2, 2] = -30.0   # tiny but nonzero diagonal: both paths go on
+    _ref_class_log_density(m.means, m.chol_raw, m.weight_logits, z)
+    mx.class_log_density_matrix(m, z)
+    m.chol_raw[1, 0, 2, 2] = -800.0  # softplus underflows to exactly 0
+    assert mx.chol_factor(m.chol_raw)[1, 0, 2, 2] == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _ref_class_log_density(m.means, m.chol_raw, m.weight_logits, z)
+    with pytest.raises(np.linalg.LinAlgError):
+        mx.class_log_density_matrix(m, z)
+    with pytest.raises(np.linalg.LinAlgError):
+        mx._class_log_density_vjp(m.means, m.chol_raw, m.weight_logits, z,
+                                  np.zeros((5, 2)), np.ones((5, 2)))

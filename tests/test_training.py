@@ -136,6 +136,32 @@ def test_divergence_is_typed_and_names_the_step(monkeypatch):
         tr.train(train, None, cfg_net, cfg)
 
 
+def test_singular_mixture_factor_is_typed_and_names_the_step(monkeypatch):
+    train, _ = datamod.gaussian_blobs(64, 2, 3, 4.0, seed=1)
+    cfg_net = net.MlpConfig(input_dim=3, hidden_dims=(5,), output_dim=2)
+    init = mx.mixture_init
+
+    def singular_init(*args, **kwargs):
+        m = init(*args, **kwargs)
+        m.chol_raw[0, 0, 1, 1] = -800.0  # softplus underflows to exactly 0
+        return m
+
+    monkeypatch.setattr(mx, "mixture_init", singular_init)
+    cfg = tr.TrainConfig(method="mass", beta=0.0, batch_size=16, steps=3, mixture_components=1)
+    term = "a mixture covariance factor is singular"
+    with pytest.raises(tr.TrainingDivergedError, match=f"step 1: {term}") as info:
+        tr.train(train, None, cfg_net, cfg)
+    assert info.value.step == 1 and info.value.term == term
+
+
+def test_eval_entropy_term_is_the_marginal_mean():
+    x, y, params, mixture = _toy_problem(5, n=20)
+    mixture = mx.fit_priors(mixture, y)
+    _, ent, _, _ = tr._eval_terms(params, mixture, x, y, tr.TrainConfig())
+    z = net.forward_fast(params, x, mode="eval")
+    assert ent == float(-mx.marginal_log_density(mixture, z).mean())
+
+
 def test_volume_loss_gradient_matches_central_differences():
     # beta > 0 with batchnorm, dropout and two hidden layers: every network
     # and mixture coordinate of the assembled loss against central differences
