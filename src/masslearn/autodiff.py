@@ -10,7 +10,9 @@ needs none, such as a constant operand of matmul), computed in numpy, and the
 sweep appends nothing to the tape.  Quantities that would need a gradient of
 a gradient, such as the log-volume of the network's input Jacobian, are
 written as one `first_order` node whose value and VJP are closed-form numpy
-(`network.log_jacobian_nodes`, `mixtures.density_nodes`).
+(`network.log_jacobian_nodes`, `mixtures.density_nodes`).  A dense layer is
+one `linear` node, x @ w^T + b, whose weight gradient g^T x has the weight's
+own row-major layout, so optimizer passes over it run at unit stride.
 
 Broadcasting is deliberately narrow: binary elementwise ops accept equal
 shapes or a scalar paired with a tensor, and add/sub additionally accept a
@@ -240,6 +242,22 @@ def matmul(a: Node, b: Node) -> Node:
     # no gradient product for a tape constant, such as the input batch
     out.vjp = lambda g: (None if a.op == "const" else g @ b.value.T,
                          None if b.op == "const" else a.value.T @ g)
+    return out
+
+
+def linear(x: Node, w: Node, b: Node) -> Node:
+    """x @ w^T + b for a (fan_out, fan_in) weight and a (fan_out,) bias.
+
+    One node for the three of matmul, transpose and a bias add, with the same
+    value; the weight gradient g^T x comes back in the weight's own C order.
+    """
+    if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]:
+        raise ValueError(f"linear: expects (n, k) inputs and a (m, k) weight, "
+                         f"got {x.value.shape} and {w.value.shape}")
+    if b.value.shape != w.value.shape[:1]:
+        raise ValueError(f"linear: bias shape {b.value.shape} does not match weight {w.value.shape}")
+    out = Node(x.tape, x.value @ w.value.T + b.value, (x, w, b), None, "linear")
+    out.vjp = lambda g: (None if x.op == "const" else g @ w.value, g.T @ x.value, g.sum(axis=0))
     return out
 
 

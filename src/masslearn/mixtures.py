@@ -140,17 +140,18 @@ def class_log_density(means: np.ndarray, chol_raw: np.ndarray, weight_logits: np
     return np.stack(cols, axis=1)
 
 
-def _class_log_density_vjp(means, chol_raw, weight_logits, z, out, g):
+def _class_log_density_vjp(means, chol_raw, weight_logits, z, out, g, need_z: bool = True):
     """Gradients of sum(g * out) in z, means, chol_raw, weight_logits, where
-    out = class_log_density(...).  With u = L^-T y and h = g * responsibility:
-    dz = -sum h u, dmu = sum h u, dL = tril(sum h u y^T) - diag(sum h / L_jj),
-    dlogits = sum h - w sum g.  Per class, h u = (h y) L^-1 row by row, so dz
-    is one GEMM of h y as (N, K r) against L^-1 stacked as (K r, r), dmu is
-    (sum h y) L^-1, and dL = L^-T (h y)^T y is one batched matmul over K."""
+    out = class_log_density(...); the z gradient is None unless need_z.
+    With u = L^-T y and h = g * responsibility: dz = -sum h u, dmu = sum h u,
+    dL = tril(sum h u y^T) - diag(sum h / L_jj), dlogits = sum h - w sum g.
+    Per class, h u = (h y) L^-1 row by row, so dz is one GEMM of h y as
+    (N, K r) against L^-1 stacked as (K r, r), dmu is (sum h y) L^-1, and
+    dL = L^-T (h y)^T y is one batched matmul over K."""
     log_w = _log_weights(weight_logits)
     l_fac, inv, sumlog = _factors(chol_raw)
     n_comp, r = means.shape[1:]
-    d_z = np.zeros_like(z)
+    d_z = np.zeros_like(z) if need_z else None
     d_means = np.empty_like(means)
     d_raw = np.empty_like(chol_raw)
     d_logits = np.empty_like(weight_logits)
@@ -160,7 +161,8 @@ def _class_log_density_vjp(means, chol_raw, weight_logits, z, out, g):
         y, comp = _class_terms(means[c], inv[c], sumlog[c], z)
         h = g[:, c, None] * np.exp(comp + log_w[c] - out[:, c, None])      # (N, K)
         hy = y * h[:, :, None]                                                # (N, K, r)
-        d_z -= hy.reshape(len(z), n_comp * r) @ inv[c].reshape(n_comp * r, r)
+        if need_z:
+            d_z -= hy.reshape(len(z), n_comp * r) @ inv[c].reshape(n_comp * r, r)
         d_means[c] = (hy.sum(axis=0)[:, None, :] @ inv[c])[:, 0, :]
         h_sum = h.sum(axis=0)
         d_l = np.tril(np.swapaxes(inv[c], 1, 2) @ (hy.transpose(1, 2, 0) @ y.transpose(1, 0, 2)))
@@ -245,15 +247,17 @@ class DensityNodes(NamedTuple):
 
 def density_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], m: ClassConditionalMixture,
                   z_node: ad.Node, labels) -> DensityNodes:
-    """The numpy densities on the tape, differentiable in z and the parameters."""
+    """The numpy densities on the tape, differentiable in z and the parameters;
+    a tape-constant z (the features of mle_fit) gets no gradient."""
     labels = np.asarray(labels, dtype=np.int64)
     params = [pnodes[name] for name in mixture_param_arrays(m)]
     arrays = [p.value for p in params]
     z = z_node.value
     value = class_log_density(*arrays, z)
+    need_z = z_node.op != "const"
     class_cond = ad.first_order(
         (z_node, *params), value,
-        lambda g: _class_log_density_vjp(*arrays, z, value, g), "mixture_density")
+        lambda g: _class_log_density_vjp(*arrays, z, value, g, need_z), "mixture_density")
 
     with np.errstate(divide="ignore"):
         log_priors = np.log(m.class_priors)

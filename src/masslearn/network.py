@@ -244,7 +244,7 @@ def _hidden_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpParams, 
     n = h.value.shape[0]
     stats_used = []
     for li in range(len(cfg.hidden_dims)):
-        z = ad.add(ad.matmul(h, ad.transpose(pnodes[f"w{li}"])), pnodes[f"b{li}"])
+        z = ad.linear(h, pnodes[f"w{li}"], pnodes[f"b{li}"])
         s = None
         if cfg.use_batchnorm:
             mean_nd, invstd_nd = _stat_nodes(tape, params, li, z, mode, batch_stats, update_running)
@@ -276,7 +276,7 @@ def forward_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpParams, 
     h, stats_used = _hidden_nodes(tape, pnodes, params, x_node, mode, dropout_mask,
                                   batch_stats, update_running)
     last = len(params.config.hidden_dims)
-    out = ad.add(ad.matmul(h, ad.transpose(pnodes[f"w{last}"])), pnodes[f"b{last}"])
+    out = ad.linear(h, pnodes[f"w{last}"], pnodes[f"b{last}"])
     return out, stats_used
 
 

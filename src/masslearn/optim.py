@@ -1,8 +1,16 @@
 """Optimizers over named parameter dictionaries.
 
-Parameters and gradients are plain {name: ndarray} dicts with a stable
-insertion order; updates return fresh arrays and never mutate inputs, while
-the optimizer state object is updated in place.
+Parameters and gradients are plain {name: float64 ndarray} dicts with a
+stable insertion order.  An update returns fresh parameter arrays and never
+mutates `params` or `grads`; the optimizer state object and its arrays are
+updated in place.  The state arrays are C-contiguous and owned by the state
+(momentum's first velocity is a copy of the gradient, not the gradient).
+
+Updates run elementwise over flat views in blocks of BLOCK elements, with
+one scratch buffer per array, so every operand of a block stays in cache
+while the whole update runs on it.  The operations and their order are those
+of the plain array expressions in the docstrings, so results are
+bit-identical to them.  An array of at most one block is updated whole.
 """
 
 from __future__ import annotations
@@ -10,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+BLOCK = 1 << 15  # elements per block: an Adam block's six 256 KB operands stay in L2
 
 
 @dataclass
@@ -19,26 +29,52 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
+def _blocks(*arrays):
+    """Equal-size arrays plus a scratch array of their shape when they fit one
+    block, else aligned BLOCK-element slices of their flat views plus a slice
+    of one BLOCK scratch.  reshape(-1) of an array that is not C-contiguous
+    is a copy: an input in any other layout is copied once, and the arrays
+    written to (state and outputs, made C-contiguous) must stay views."""
+    size = arrays[0].size
+    if size <= BLOCK:
+        return [(*arrays, np.empty(arrays[0].shape))]
+    flats = [a.reshape(-1) for a in arrays]
+    scratch = np.empty(BLOCK)
+    return [[*(f[i:i + BLOCK] for f in flats), scratch[:min(BLOCK, size - i)]]
+            for i in range(0, size, BLOCK)]
+
+
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> dict:
-    """One bias-corrected Adam update; zero gradients leave parameters unchanged."""
+    """One bias-corrected Adam update; zero gradients leave parameters unchanged.
+
+    m = beta1 m + (1 - beta1) g,  v = beta2 v + (1 - beta2) (g g),
+    p_new = p - lr (m / c1) / (sqrt(v / c2) + eps)  with c_i = 1 - beta_i^t.
+    """
     state.step += 1
     t = state.step
+    c1 = 1 - beta1 ** t
+    c2 = 1 - beta2 ** t
     out = {}
     for name, p in params.items():
-        g = grads[name]
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros(p.shape), np.zeros(p.shape)
+        out[name] = np.empty(p.shape)
+        for pb, g, m, v, new, s in _blocks(p, grads[name], state.m[name], state.v[name], out[name]):
+            np.multiply(m, beta1, m)
+            np.multiply(g, 1 - beta1, s)
+            np.add(m, s, m)
+            np.multiply(g, g, s)
+            np.multiply(s, 1 - beta2, s)
+            np.multiply(v, beta2, v)
+            np.add(v, s, v)
+            np.divide(m, c1, new)
+            np.multiply(new, lr, new)
+            np.divide(v, c2, s)
+            np.sqrt(s, s)
+            np.add(s, eps, s)
+            np.divide(new, s, new)
+            np.subtract(pb, new, new)
     return out
 
 
@@ -49,21 +85,30 @@ class MomentumState:
 
 def momentum_step(params: dict, grads: dict, state: MomentumState, lr: float,
                   momentum: float = 0.9) -> dict:
-    """Heavy-ball update: v <- momentum*v + g, p <- p - lr*v."""
+    """Heavy-ball update: v <- momentum*v + g (v <- a copy of g at first), p <- p - lr*v."""
     out = {}
     for name, p in params.items():
-        g = grads[name]
-        v = state.v.get(name)
-        v = g if v is None else momentum * v + g
-        state.v[name] = v
-        out[name] = p - lr * v
+        first = name not in state.v
+        if first:
+            state.v[name] = np.empty(p.shape)
+        out[name] = np.empty(p.shape)
+        for pb, g, v, new, _ in _blocks(p, grads[name], state.v[name], out[name]):
+            if first:
+                np.copyto(v, g)
+            else:
+                np.multiply(v, momentum, v)
+                np.add(v, g, v)
+            np.multiply(v, lr, new)
+            np.subtract(pb, new, new)
     return out
 
 
 def global_norm(grads: dict) -> float:
+    """sqrt of the sum of squares of every gradient entry, by BLAS dot products."""
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g * g))
+        flat = np.ravel(g, order="K")
+        total += float(np.dot(flat, flat))
     return float(np.sqrt(total))
 
 

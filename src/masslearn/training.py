@@ -194,13 +194,15 @@ def _format_row(step, cond, ent, jac, train_acc, test_acc) -> str:
     return str(step) + "," + ",".join(f"{v:.12g}" for v in vals)
 
 
-def _eval_terms(net_params, mixture, x, y, cfg: TrainConfig):
+def _eval_terms(net_params, mixture, x, y, cfg: TrainConfig, z: np.ndarray | None = None):
     """Deterministic term estimates in eval mode on a fixed slice.
 
-    Returns (cond, ent, jac, amgm_violation_count); jac is nan when the
-    network output is wider than its input (no Jacobian exists then).
+    z is the eval-mode forward of x when the caller has it already.  Returns
+    (cond, ent, jac, amgm_violation_count); jac is nan when the network
+    output is wider than its input (no Jacobian exists then).
     """
-    z = net.forward_fast(net_params, x, mode="eval")
+    if z is None:
+        z = net.forward_fast(net_params, x, mode="eval")
     # the marginal from the one (N, C) matrix, as marginal_log_density forms it
     with np.errstate(divide="ignore"):
         scored = mx.class_log_density_matrix(mixture, z) + np.log(mixture.class_priors)
@@ -270,25 +272,26 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
 
     def write_row(step):
         nonlocal amgm_violations, fitted_eval_mix
-        ex, ey = train_x[eval_slice], train_y[eval_slice]
+        # one forward of the training rows serves every term of the row
+        train_z = net.forward_fast(net_params, train_x, mode="eval")
         if cfg.method == "mass":
             eval_mix = mixture
         else:
             cap = min(train_ds.n, 2000)
-            feats = net.forward_fast(net_params, train_x[:cap], mode="eval")
             fit_steps = 150 if fitted_eval_mix is None else 50
-            fitted_eval_mix = mx.mle_fit(feats, train_y[:cap], n_classes,
+            fitted_eval_mix = mx.mle_fit(train_z[:cap], train_y[:cap], n_classes,
                                          cfg.mixture_components, steps=fit_steps,
                                          seed=cfg.seed, lr=0.02, init=fitted_eval_mix)
             eval_mix = fitted_eval_mix
-        cond, ent, jac, viol = _eval_terms(net_params, eval_mix, ex, ey, cfg)
+        cond, ent, jac, viol = _eval_terms(net_params, eval_mix, train_x[eval_slice],
+                                           train_y[eval_slice], cfg, z=train_z[eval_slice])
         amgm_violations += viol
         if cfg.method == "mass":
-            tr_probs = mx.class_posterior(eval_mix, net.forward_fast(net_params, train_x, mode="eval"))
+            tr_probs = mx.class_posterior(eval_mix, train_z)
             te_probs = (mx.class_posterior(eval_mix, net.forward_fast(net_params, test_x, mode="eval"))
                         if test_ds is not None else None)
         else:
-            tr_probs = softmax_probabilities(net.forward_fast(net_params, train_x, mode="eval"))
+            tr_probs = softmax_probabilities(train_z)
             te_probs = (softmax_probabilities(net.forward_fast(net_params, test_x, mode="eval"))
                         if test_ds is not None else None)
         tr_acc = _accuracy(tr_probs, train_y)

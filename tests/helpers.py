@@ -69,6 +69,8 @@ def primitive_gradcheck_catalog():
          lambda t, rng, a: _weighted_sum(t, ad.elu_grad(a), rng)),
         ("matmul", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))],
          lambda t, rng, a, b: _weighted_sum(t, ad.matmul(a, b), rng)),
+        ("linear", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), rng.normal(size=(2,))],
+         lambda t, rng, x, w, b: _weighted_sum(t, ad.linear(x, w, b), rng)),
         ("transpose", lambda rng: [rng.normal(size=(3, 4))],
          lambda t, rng, a: _weighted_sum(t, ad.transpose(a), rng)),
         ("dot", lambda rng: [rng.normal(size=(5,)), rng.normal(size=(5,))],

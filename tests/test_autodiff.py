@@ -161,3 +161,34 @@ def test_matmul_constant_operand_gets_no_gradient_product():
         leaf, want = (right, both[lb]) if const_left else (left, both[la])
         np.testing.assert_array_equal(ad.backward(ad.sum_all(out), [leaf])[leaf], want)
         assert out.vjp(np.ones(out.shape))[0 if const_left else 1] is None
+
+
+def test_linear_matches_matmul_transpose_add():
+    # value and leaf gradients bit for bit as the three-node spelling; a
+    # constant input gets None, and the weight gradient is row-major like w
+    gen = np.random.default_rng(4)
+    x, w, b, g = (gen.normal(size=s) for s in ((7, 5), (3, 5), (3,), (7, 3)))
+    for x_is_leaf in (True, False):
+        t = ad.Tape()
+        xn = t.leaf(x) if x_is_leaf else t.constant(x)
+        wn, bn = t.leaf(w), t.leaf(b)
+        one = ad.linear(xn, wn, bn)
+        three = ad.add(ad.matmul(xn, ad.transpose(wn)), bn)
+        assert one.value.tobytes() == three.value.tobytes()
+        leaves = [xn, wn, bn] if x_is_leaf else [wn, bn]
+        weight = t.constant(g)
+        got = ad.backward(ad.sum_all(ad.mul(one, weight)), leaves)
+        want = ad.backward(ad.sum_all(ad.mul(three, weight)), leaves)
+        for leaf in leaves:
+            assert got[leaf].tobytes() == want[leaf].tobytes()
+        assert got[wn].flags.c_contiguous
+        assert (one.vjp(g)[0] is None) == (not x_is_leaf)
+
+
+def test_linear_rejects_mismatched_shapes():
+    t = ad.Tape()
+    x, w = t.leaf(np.ones((2, 3))), t.leaf(np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        ad.linear(x, t.leaf(np.ones((4, 2))), t.leaf(np.ones(4)))
+    with pytest.raises(ValueError):
+        ad.linear(x, w, t.leaf(np.ones(3)))

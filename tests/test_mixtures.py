@@ -290,3 +290,21 @@ def test_singular_factor_raises_where_the_triangular_solve_does():
     with pytest.raises(np.linalg.LinAlgError):
         mx._class_log_density_vjp(m.means, m.chol_raw, m.weight_logits, z,
                                   np.zeros((5, 2)), np.ones((5, 2)))
+
+
+def test_constant_points_get_no_gradient():
+    # mle_fit's features are a tape constant: their gradient is never formed,
+    # and the parameter gradients are those of the two-sided VJP bit for bit
+    m = mx.mixture_init(3, 2, 4, seed=5, mean_scale=0.7)
+    gen = np.random.default_rng(6)
+    z, labels = gen.normal(size=(20, 4)), gen.integers(0, 3, size=20)
+    grads = {}
+    for z_is_leaf in (True, False):
+        tape = ad.Tape()
+        pnodes = mx.make_mixture_nodes(tape, m)
+        z_node = tape.leaf(z) if z_is_leaf else tape.constant(z)
+        dens = mx.density_nodes(tape, pnodes, m, z_node, labels)
+        assert (dens.class_cond.vjp(np.ones((20, 3)))[0] is None) == (not z_is_leaf)
+        got = ad.backward(ad.sum_all(dens.cond_own), list(pnodes.values()))
+        grads[z_is_leaf] = [got[node].tobytes() for node in pnodes.values()]
+    assert grads[True] == grads[False]

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masslearn import autodiff as ad
 from masslearn import data as datamod
@@ -204,6 +205,38 @@ def test_gradients_share_no_memory():
         assert not any(np.shares_memory(g, h) for h in grads[i + 1:] + leaves)
 
 
+def test_weight_gradients_are_row_major():
+    # the optimizer updates weights through flat views; a gradient in the
+    # transposed layout would make every pass over it stride
+    x, y, params, mixture = _toy_problem(4, hidden=(6, 5))
+    for beta in (0.0, 0.5):
+        _, net_grads, _ = tr.mass_minibatch_loss(params, mixture, x, y, tr.TrainConfig(beta=beta))
+        for li in range(len(params.weights)):
+            assert net_grads[f"w{li}"].flags.c_contiguous
+    _, ce_grads = tr.softmaxce_minibatch_loss(_toy_problem(4, r=3)[2], x, y)
+    assert all(ce_grads[f"w{li}"].flags.c_contiguous for li in range(2))
+
+
+def test_curve_terms_from_a_sliced_forward_match_a_fresh_one():
+    # a curve row slices its terms' features out of one forward of all
+    # training rows; BLAS may round a 64-row product differently from the
+    # same rows inside a larger one, so agreement is to round-off
+    gen = np.random.default_rng(11)
+    x = gen.normal(size=(300, 3072))
+    y = gen.integers(0, 3, size=300)
+    cfg_net = net.MlpConfig(input_dim=3072, hidden_dims=(100,), output_dim=4, use_batchnorm=True)
+    params = net.mlp_init(cfg_net, seed=2)
+    net.forward_fast(params, x, mode="train", update_running=True)
+    mixture = mx.fit_priors(mx.mixture_init(3, 2, 4, seed=3), y)
+    cfg = tr.TrainConfig(batch_size=64)
+    z_all = net.forward_fast(params, x, mode="eval")
+    sliced = tr._eval_terms(params, mixture, x[:64], y[:64], cfg, z=z_all[:64])
+    fresh = tr._eval_terms(params, mixture, x[:64], y[:64], cfg)
+    for got, want in zip(sliced[:3], fresh[:3]):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert sliced[3] == fresh[3]
+
+
 def test_jacobian_term_matches_direct_computation():
     x, y, params, mixture = _toy_problem(7, n=10)
     cfg = tr.TrainConfig(beta=0.5, subsample_jacobian=True)
@@ -304,6 +337,102 @@ def test_clip_global_norm_scales_jointly():
     same, norm2 = optim.clip_global_norm(grads, 100.0)
     assert norm2 == norm
     np.testing.assert_array_equal(same["a"], grads["a"])
+
+
+# The optimizers as plain array expressions, before the in-place blocked
+# update: the reference that the blocked one must match bit for bit.
+def _ref_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    state.step += 1
+    t = state.step
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.get(name)
+        v = state.v.get(name)
+        if m is None:
+            m = np.zeros_like(p)
+            v = np.zeros_like(p)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        state.m[name] = m
+        state.v[name] = v
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return out
+
+
+def _ref_momentum_step(params, grads, state, lr, momentum=0.9):
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        v = state.v.get(name)
+        v = g if v is None else momentum * v + g
+        state.v[name] = v
+        out[name] = p - lr * v
+    return out
+
+
+def _ref_global_norm(grads):
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    return float(np.sqrt(total))
+
+
+_B = optim.BLOCK
+# 0-d, empty, and sizes just below, at and above one and two blocks
+_EDGE_SHAPES = [(), (0,), (3, 0), (_B - 1,), (_B,), (_B + 1,), (127, 258), (128, 256),
+                (129, 255), (2 * _B - 1,), (256, 256), (3, 21846), (2, 4, 4097)]
+
+
+def _laid_out(arr, layout):
+    """arr's values in the given memory layout: C, F, a transposed view, or a strided view."""
+    if layout == "F":
+        return np.array(arr, order="F")
+    if layout == "T":
+        return np.array(arr.T, order="C").T
+    if layout == "S" and arr.ndim:
+        wide = np.empty((2 * arr.shape[0], *arr.shape[1:]))
+        wide[::2] = arr
+        return wide[::2]
+    return np.array(arr, order="C")
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.one_of(st.sampled_from(_EDGE_SHAPES),
+                       st.lists(st.integers(1, 6), max_size=3).map(tuple)),
+       layouts=st.lists(st.sampled_from("CFTS"), min_size=2, max_size=2),
+       steps=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_blocked_optimizers_match_the_array_expressions(shape, layouts, steps, seed):
+    gen = np.random.default_rng(seed)
+    shapes = {"a": shape, "b": (3, 2)}  # a small array after a large one reuses the scratch
+    params = {k: _laid_out(gen.normal(size=s), layouts[0]) for k, s in shapes.items()}
+    states = [(optim.adam_step, optim.AdamState(), _ref_adam_step, optim.AdamState()),
+              (optim.momentum_step, optim.MomentumState(), _ref_momentum_step, optim.MomentumState())]
+    for step, state, ref_step, ref_state in states:
+        p_new, p_ref = params, params
+        for _ in range(steps):
+            grads = {k: _laid_out(gen.normal(size=s) * (gen.random(size=s) > 0.2), layouts[1])
+                     for k, s in shapes.items()}
+            before = {k: (p_new[k].copy(), grads[k].copy()) for k in shapes}
+            p_ref = ref_step(p_ref, grads, ref_state, 0.01)
+            p_out = step(p_new, grads, state, 0.01)
+            for k, (p_before, g_before) in before.items():
+                # neither the parameters nor the gradients were written to
+                assert p_new[k].tobytes() == p_before.tobytes()
+                assert grads[k].tobytes() == g_before.tobytes()
+                assert p_out[k].shape == shapes[k]
+                assert p_out[k].tobytes() == np.asarray(p_ref[k]).tobytes()
+                if step is optim.momentum_step:
+                    assert not np.shares_memory(state.v[k], grads[k])
+            p_new = p_out
+        for name in ("m", "v") if step is optim.adam_step else ("v",):
+            for k in shapes:
+                got, want = getattr(state, name)[k], getattr(ref_state, name)[k]
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        norm, ref = optim.global_norm(grads), _ref_global_norm(grads)
+        assert abs(norm - ref) <= 1e-14 * ref
 
 
 def _blob_split(n_train, n_test, seed, n_classes=3, dim=4, separation=4.0):
