@@ -7,7 +7,7 @@ updated in place.  The state arrays are C-contiguous and owned by the state
 (momentum's first velocity is a copy of the gradient, not the gradient).
 
 Updates run elementwise over flat views in blocks of BLOCK elements, with
-one scratch buffer per array, so every operand of a block stays in cache
+one scratch array per block, so every operand of a block stays in cache
 while the whole update runs on it.  The operations and their order are those
 of the plain array expressions in the docstrings, so results are
 bit-identical to them.  An array of at most one block is updated whole.
@@ -30,18 +30,18 @@ class AdamState:
 
 
 def _blocks(*arrays):
-    """Equal-size arrays plus a scratch array of their shape when they fit one
-    block, else aligned BLOCK-element slices of their flat views plus a slice
-    of one BLOCK scratch.  reshape(-1) of an array that is not C-contiguous
-    is a copy: an input in any other layout is copied once, and the arrays
-    written to (state and outputs, made C-contiguous) must stay views."""
+    """Equal-size arrays whole when they fit one block, else aligned
+    BLOCK-element slices of their flat views.  reshape(-1) of an array that
+    is not C-contiguous is a copy: an input in any other layout is copied
+    once, and the arrays written to (state and outputs, made C-contiguous)
+    must stay views."""
     size = arrays[0].size
+    if arrays[0].ndim == 0:  # arithmetic on 0-d arrays gives scalars, not arrays
+        return [[a.reshape(1) for a in arrays]]
     if size <= BLOCK:
-        return [(*arrays, np.empty(arrays[0].shape))]
+        return [arrays]
     flats = [a.reshape(-1) for a in arrays]
-    scratch = np.empty(BLOCK)
-    return [[*(f[i:i + BLOCK] for f in flats), scratch[:min(BLOCK, size - i)]]
-            for i in range(0, size, BLOCK)]
+    return [[f[i:i + BLOCK] for f in flats] for i in range(0, size, BLOCK)]
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
@@ -60,20 +60,20 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros(p.shape), np.zeros(p.shape)
         out[name] = np.empty(p.shape)
-        for pb, g, m, v, new, s in _blocks(p, grads[name], state.m[name], state.v[name], out[name]):
-            np.multiply(m, beta1, m)
-            np.multiply(g, 1 - beta1, s)
-            np.add(m, s, m)
+        for pb, g, m, v, new in _blocks(p, grads[name], state.m[name], state.v[name], out[name]):
+            s = (1 - beta1) * g  # the block's one scratch array
+            m *= beta1
+            m += s
             np.multiply(g, g, s)
-            np.multiply(s, 1 - beta2, s)
-            np.multiply(v, beta2, v)
-            np.add(v, s, v)
+            s *= 1 - beta2
+            v *= beta2
+            v += s
             np.divide(m, c1, new)
-            np.multiply(new, lr, new)
+            new *= lr
             np.divide(v, c2, s)
             np.sqrt(s, s)
-            np.add(s, eps, s)
-            np.divide(new, s, new)
+            s += eps
+            new /= s
             np.subtract(pb, new, new)
     return out
 
@@ -92,12 +92,12 @@ def momentum_step(params: dict, grads: dict, state: MomentumState, lr: float,
         if first:
             state.v[name] = np.empty(p.shape)
         out[name] = np.empty(p.shape)
-        for pb, g, v, new, _ in _blocks(p, grads[name], state.v[name], out[name]):
+        for pb, g, v, new in _blocks(p, grads[name], state.v[name], out[name]):
             if first:
                 np.copyto(v, g)
             else:
-                np.multiply(v, momentum, v)
-                np.add(v, g, v)
+                v *= momentum
+                v += g
             np.multiply(v, lr, new)
             np.subtract(pb, new, new)
     return out
