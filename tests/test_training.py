@@ -406,7 +406,7 @@ def _laid_out(arr, layout):
        steps=st.integers(1, 5), seed=st.integers(0, 2**16))
 def test_blocked_optimizers_match_the_array_expressions(shape, layouts, steps, seed):
     gen = np.random.default_rng(seed)
-    shapes = {"a": shape, "b": (3, 2)}  # a small array after a large one reuses the scratch
+    shapes = {"a": shape, "b": (3, 2)}  # a small array after a large one
     params = {k: _laid_out(gen.normal(size=s), layouts[0]) for k, s in shapes.items()}
     states = [(optim.adam_step, optim.AdamState(), _ref_adam_step, optim.AdamState()),
               (optim.momentum_step, optim.MomentumState(), _ref_momentum_step, optim.MomentumState())]
