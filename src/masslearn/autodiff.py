@@ -248,8 +248,9 @@ def matmul(a: Node, b: Node) -> Node:
 def linear(x: Node, w: Node, b: Node) -> Node:
     """x @ w^T + b for a (fan_out, fan_in) weight and a (fan_out,) bias.
 
-    One node for the three of matmul, transpose and a bias add, with the same
-    value; the weight gradient g^T x comes back in the weight's own C order.
+    One node for a matmul by the transposed weight and a bias add, with the
+    same value; the weight gradient g^T x comes back in the weight's own C
+    order.
     """
     if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]:
         raise ValueError(f"linear: expects (n, k) inputs and a (m, k) weight, "
@@ -258,14 +259,6 @@ def linear(x: Node, w: Node, b: Node) -> Node:
         raise ValueError(f"linear: bias shape {b.value.shape} does not match weight {w.value.shape}")
     out = Node(x.tape, x.value @ w.value.T + b.value, (x, w, b), None, "linear")
     out.vjp = lambda g: (None if x.op == "const" else g @ w.value, g.T @ x.value, g.sum(axis=0))
-    return out
-
-
-def transpose(a: Node) -> Node:
-    if a.value.ndim != 2:
-        raise ValueError("transpose: expects rank-2")
-    out = Node(a.tape, a.value.T, (a,), None, "transpose")
-    out.vjp = lambda g: (g.T,)
     return out
 
 

@@ -194,15 +194,13 @@ def _format_row(step, cond, ent, jac, train_acc, test_acc) -> str:
     return str(step) + "," + ",".join(f"{v:.12g}" for v in vals)
 
 
-def _eval_terms(net_params, mixture, x, y, cfg: TrainConfig, z: np.ndarray | None = None):
+def _eval_terms(net_params, mixture, x, y, z, cfg: TrainConfig):
     """Deterministic term estimates in eval mode on a fixed slice.
 
-    z is the eval-mode forward of x when the caller has it already.  Returns
-    (cond, ent, jac, amgm_violation_count); jac is nan when the network
-    output is wider than its input (no Jacobian exists then).
+    z is the eval-mode forward of x.  Returns (cond, ent, jac,
+    amgm_violation_count); jac is nan when the network output is wider than
+    its input (no Jacobian exists then).
     """
-    if z is None:
-        z = net.forward_fast(net_params, x, mode="eval")
     # the marginal from the one (N, C) matrix, as marginal_log_density forms it
     with np.errstate(divide="ignore"):
         scored = mx.class_log_density_matrix(mixture, z) + np.log(mixture.class_priors)
@@ -284,7 +282,7 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
                                          seed=cfg.seed, lr=0.02, init=fitted_eval_mix)
             eval_mix = fitted_eval_mix
         cond, ent, jac, viol = _eval_terms(net_params, eval_mix, train_x[eval_slice],
-                                           train_y[eval_slice], cfg, z=train_z[eval_slice])
+                                           train_y[eval_slice], train_z[eval_slice], cfg)
         amgm_violations += viol
         if cfg.method == "mass":
             tr_probs = mx.class_posterior(eval_mix, train_z)

@@ -71,8 +71,6 @@ def primitive_gradcheck_catalog():
          lambda t, rng, a, b: _weighted_sum(t, ad.matmul(a, b), rng)),
         ("linear", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), rng.normal(size=(2,))],
          lambda t, rng, x, w, b: _weighted_sum(t, ad.linear(x, w, b), rng)),
-        ("transpose", lambda rng: [rng.normal(size=(3, 4))],
-         lambda t, rng, a: _weighted_sum(t, ad.transpose(a), rng)),
         ("dot", lambda rng: [rng.normal(size=(5,)), rng.normal(size=(5,))],
          lambda t, rng, a, b: ad.dot(a, b)),
         ("reshape", lambda rng: [rng.normal(size=(3, 4))],

@@ -163,24 +163,26 @@ def test_matmul_constant_operand_gets_no_gradient_product():
         assert out.vjp(np.ones(out.shape))[0 if const_left else 1] is None
 
 
-def test_linear_matches_matmul_transpose_add():
-    # value and leaf gradients bit for bit as the three-node spelling; a
-    # constant input gets None, and the weight gradient is row-major like w
+def test_linear_matches_matmul_add():
+    # value and leaf gradients bit for bit as matmul by a transposed weight
+    # view plus a bias add; a constant input gets None, and the weight
+    # gradient is row-major like w
     gen = np.random.default_rng(4)
     x, w, b, g = (gen.normal(size=s) for s in ((7, 5), (3, 5), (3,), (7, 3)))
     for x_is_leaf in (True, False):
         t = ad.Tape()
         xn = t.leaf(x) if x_is_leaf else t.constant(x)
-        wn, bn = t.leaf(w), t.leaf(b)
+        wn, wt, bn = t.leaf(w), t.leaf(w.T), t.leaf(b)
         one = ad.linear(xn, wn, bn)
-        three = ad.add(ad.matmul(xn, ad.transpose(wn)), bn)
-        assert one.value.tobytes() == three.value.tobytes()
-        leaves = [xn, wn, bn] if x_is_leaf else [wn, bn]
+        two = ad.add(ad.matmul(xn, wt), bn)
+        assert one.value.tobytes() == two.value.tobytes()
         weight = t.constant(g)
-        got = ad.backward(ad.sum_all(ad.mul(one, weight)), leaves)
-        want = ad.backward(ad.sum_all(ad.mul(three, weight)), leaves)
-        for leaf in leaves:
-            assert got[leaf].tobytes() == want[leaf].tobytes()
+        got = ad.backward(ad.sum_all(ad.mul(one, weight)), [xn, wn, bn])
+        want = ad.backward(ad.sum_all(ad.mul(two, weight)), [xn, wt, bn])
+        assert got[wn].tobytes() == want[wt].T.tobytes()
+        assert got[bn].tobytes() == want[bn].tobytes()
+        if x_is_leaf:
+            assert got[xn].tobytes() == want[xn].tobytes()
         assert got[wn].flags.c_contiguous
         assert (one.vjp(g)[0] is None) == (not x_is_leaf)
 

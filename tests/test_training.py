@@ -158,8 +158,8 @@ def test_singular_mixture_factor_is_typed_and_names_the_step(monkeypatch):
 def test_eval_entropy_term_is_the_marginal_mean():
     x, y, params, mixture = _toy_problem(5, n=20)
     mixture = mx.fit_priors(mixture, y)
-    _, ent, _, _ = tr._eval_terms(params, mixture, x, y, tr.TrainConfig())
     z = net.forward_fast(params, x, mode="eval")
+    _, ent, _, _ = tr._eval_terms(params, mixture, x, y, z, tr.TrainConfig())
     assert ent == float(-mx.marginal_log_density(mixture, z).mean())
 
 
@@ -230,8 +230,9 @@ def test_curve_terms_from_a_sliced_forward_match_a_fresh_one():
     mixture = mx.fit_priors(mx.mixture_init(3, 2, 4, seed=3), y)
     cfg = tr.TrainConfig(batch_size=64)
     z_all = net.forward_fast(params, x, mode="eval")
-    sliced = tr._eval_terms(params, mixture, x[:64], y[:64], cfg, z=z_all[:64])
-    fresh = tr._eval_terms(params, mixture, x[:64], y[:64], cfg)
+    z_fresh = net.forward_fast(params, x[:64], mode="eval")
+    sliced = tr._eval_terms(params, mixture, x[:64], y[:64], z_all[:64], cfg)
+    fresh = tr._eval_terms(params, mixture, x[:64], y[:64], z_fresh, cfg)
     for got, want in zip(sliced[:3], fresh[:3]):
         assert abs(got - want) <= 1e-12 * abs(want)
     assert sliced[3] == fresh[3]
