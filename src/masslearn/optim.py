@@ -10,7 +10,9 @@ Updates run elementwise over flat views in blocks of BLOCK elements, with
 one scratch array per block, so every operand of a block stays in cache
 while the whole update runs on it.  The operations and their order are those
 of the plain array expressions in the docstrings, so results are
-bit-identical to them.  An array of at most one block is updated whole.
+bit-identical to them.  An array of at most one block is updated whole,
+and its output is made by the update's first write, so a small array pays
+for no block machinery.
 """
 
 from __future__ import annotations
@@ -30,18 +32,20 @@ class AdamState:
 
 
 def _blocks(*arrays):
-    """Equal-size arrays whole when they fit one block, else aligned
-    BLOCK-element slices of their flat views.  reshape(-1) of an array that
-    is not C-contiguous is a copy: an input in any other layout is copied
-    once, and the arrays written to (state and outputs, made C-contiguous)
-    must stay views."""
-    size = arrays[0].size
-    if arrays[0].ndim == 0:  # arithmetic on 0-d arrays gives scalars, not arrays
-        return [[a.reshape(1) for a in arrays]]
-    if size <= BLOCK:
-        return [arrays]
-    flats = [a.reshape(-1) for a in arrays]
-    return [[f[i:i + BLOCK] for f in flats] for i in range(0, size, BLOCK)]
+    """(out, blocks) for an update over equal-size arrays.
+
+    Arrays of at most one block form one block, whole, with out None: the
+    update's first write into the output slot makes the output.  Larger (and
+    0-d) arrays form aligned BLOCK-element slices of their flat views, and
+    of a fresh output out.  reshape(-1) of an array that is not C-contiguous
+    is a copy: an input in any other layout is copied once, and the arrays
+    written to (state and outputs, made C-contiguous) stay views.
+    """
+    if arrays[0].ndim and arrays[0].size <= BLOCK:
+        return None, [(*arrays, None)]
+    out = np.empty(arrays[0].shape)
+    flats = [a.reshape(-1) for a in (*arrays, out)]
+    return out, [[f[i:i + BLOCK] for f in flats] for i in range(0, out.size, BLOCK)]
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
@@ -59,8 +63,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     for name, p in params.items():
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros(p.shape), np.zeros(p.shape)
-        out[name] = np.empty(p.shape)
-        for pb, g, m, v, new in _blocks(p, grads[name], state.m[name], state.v[name], out[name]):
+        new, blocks = _blocks(p, grads[name], state.m[name], state.v[name])
+        for pb, g, m, v, nb in blocks:
             s = (1 - beta1) * g  # the block's one scratch array
             m *= beta1
             m += s
@@ -68,13 +72,14 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
             s *= 1 - beta2
             v *= beta2
             v += s
-            np.divide(m, c1, new)
-            new *= lr
+            nb = np.divide(m, c1, nb)
+            nb *= lr
             np.divide(v, c2, s)
             np.sqrt(s, s)
             s += eps
-            new /= s
-            np.subtract(pb, new, new)
+            nb /= s
+            np.subtract(pb, nb, nb)
+        out[name] = nb if new is None else new
     return out
 
 
@@ -91,15 +96,16 @@ def momentum_step(params: dict, grads: dict, state: MomentumState, lr: float,
         first = name not in state.v
         if first:
             state.v[name] = np.empty(p.shape)
-        out[name] = np.empty(p.shape)
-        for pb, g, v, new in _blocks(p, grads[name], state.v[name], out[name]):
+        new, blocks = _blocks(p, grads[name], state.v[name])
+        for pb, g, v, nb in blocks:
             if first:
                 np.copyto(v, g)
             else:
                 v *= momentum
                 v += g
-            np.multiply(v, lr, new)
-            np.subtract(pb, new, new)
+            nb = np.multiply(v, lr, nb)
+            np.subtract(pb, nb, nb)
+        out[name] = nb if new is None else new
     return out
 
 
