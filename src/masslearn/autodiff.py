@@ -340,15 +340,20 @@ def take_per_row(a: Node, idx) -> Node:
 
 
 def logsumexp_rows(a: Node) -> Node:
-    """Row-wise logsumexp of a rank-2 matrix, returns a rank-1 vector."""
+    """Row-wise logsumexp of a rank-2 matrix, returns a rank-1 vector.
+
+    log(sum exp(a - shift)) + shift with the row maximum as shift; the VJP
+    is (g / total) * exp(a - shift) row by row.
+    """
     if a.value.ndim != 2:
         raise ValueError("logsumexp_rows: expects rank-2")
     if a.value.shape[1] == 0:
         raise ValueError("empty reduction")
-    shift_val = a.value.max(axis=1)
-    shift_full = a.tape.constant(np.broadcast_to(shift_val[:, None], a.value.shape).copy())
-    shift_vec = a.tape.constant(shift_val)
-    return add(log(sum_axis(exp(sub(a, shift_full)), 1)), shift_vec)
+    shift = a.value.max(axis=1)
+    e = np.exp(a.value - shift[:, None])
+    total = e.sum(axis=1)
+    return first_order((a,), np.log(total) + shift, lambda g: ((g / total)[:, None] * e,),
+                       "logsumexp_rows")
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,26 @@
 """Multilayer perceptron with exact input Jacobians.
 
-The network is a stack of hidden blocks (linear -> optional batchnorm ->
-nonlinearity -> optional dropout) followed by a final linear layer.
+The network is a stack of hidden blocks followed by a final linear layer.  A
+block is a linear layer, then `_block`, the one definition of optional
+batchnorm -> nonlinearity -> optional dropout, which returns its output and
+a cache.  `forward_fast` loops over the blocks in plain numpy (evaluation,
+metrics, Jacobians); `forward_nodes` wraps each as first-order tape nodes
+with closed-form VJPs (training losses), so the two agree bit for bit.
 
-* `forward_fast` runs plain numpy and is used for evaluation, metrics and
-  Jacobian studies;
-* `forward_nodes` builds the same arithmetic on an autodiff tape and is used
-  by training losses.  Tests assert the two agree bit-for-bit.
-
-Every hidden block acts on its input as W_l followed by a per-sample diagonal
-scale s_l = invstd_l * bn_scale_l * elu'(z_l) * mask_l, so the input Jacobian
-of one sample is the chain product D = W_L S_{L-1} W_{L-1} ... S_0 W_0.
+Each block acts on its input as W_l followed by a per-sample diagonal scale
+s_l = invstd_l * bn_scale_l * elu'(u_l) * mask_l, read from its cache, so the
+input Jacobian of one sample is the chain product D = W_L S_{L-1} ... S_0 W_0.
 `jacobian_batch` builds it from the output side for a whole batch, and the
 volume term log J_f = 0.5 log det(D D^T + jitter I) of the training loss
-(`log_jacobian_nodes`) is one first-order tape node over that same product:
-its parents are the weights and the scales s_l, the scales are ordinary tape
-nodes, and its gradient is closed-form numpy.  `jacobian_matrix` is an
+(`log_jacobian_nodes`) is one first-order node over the same product whose
+parents are the weights and the scale nodes.  `jacobian_matrix` is an
 independent reference built from reverse sweeps of the tape.
 
-Batchnorm statistics are treated as constants of the current batch when
-differentiating with respect to inputs (parameter gradients still flow
-through them).  That makes the network a single deterministic map per step,
-so its per-sample Jacobian is well defined and matches what the loss terms
-see.  Dropout masks are one vector per hidden layer, shared across the
-batch, for the same reason.
+Batchnorm statistics are constants of the current batch when differentiating
+with respect to inputs (parameter gradients still flow through them), and
+dropout masks are one vector per hidden layer, shared across the batch.  So
+the network is one deterministic map per step, and its per-sample Jacobian
+is well defined and matches what the loss terms see.
 
 The log-Jacobian J_f(x) = sqrt(det(Df Df^T)) requires output_dim <=
 input_dim; Jacobian routines enforce this even though the config itself
@@ -33,7 +30,9 @@ features, it just cannot ask for Jacobians then).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -156,26 +155,116 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
     raise ValueError(f"expected a sample or batch, got shape {x.shape}")
 
 
-def _hidden_stats(params: MlpParams, li: int, z: np.ndarray, mode: str,
-                  batch_stats, update_running: bool):
-    """Mean and inverse std used to normalize hidden layer li."""
+def _stats(params: MlpParams, li: int, z: np.ndarray, mode: str, batch_stats,
+           update_running: bool):
+    """(mean, invstd, var) that normalize hidden layer li's linear output z.
+
+    var is None unless train mode computes the batch's own statistics, as
+    (1/n) sums and invstd = exp(-log(var + eps) / 2).  Given ones (arrays,
+    or nodes of an earlier tape pass) come back as they are.
+    """
     if batch_stats is not None:
-        return batch_stats[li]
-    if mode == "train":
-        mean = z.mean(axis=0)
-        var = z.var(axis=0)
-        if update_running:
-            params.bn_mean[li] = (1 - BN_MOMENTUM) * params.bn_mean[li] + BN_MOMENTUM * mean
-            params.bn_var[li] = (1 - BN_MOMENTUM) * params.bn_var[li] + BN_MOMENTUM * var
-    else:
-        mean = params.bn_mean[li]
-        var = params.bn_var[li]
-    return mean, 1.0 / np.sqrt(var + BN_EPS)
+        return (*batch_stats[li], None)
+    if mode != "train":
+        return params.bn_mean[li], 1.0 / np.sqrt(params.bn_var[li] + BN_EPS), None
+    n = z.shape[0]
+    mean = (1.0 / n) * z.sum(axis=0)
+    centered = z - mean
+    var = (1.0 / n) * (centered * centered).sum(axis=0)
+    if update_running:
+        params.bn_mean[li] = (1 - BN_MOMENTUM) * params.bn_mean[li] + BN_MOMENTUM * mean
+        params.bn_var[li] = (1 - BN_MOMENTUM) * params.bn_var[li] + BN_MOMENTUM * var
+    return mean, np.exp(-0.5 * np.log(var + BN_EPS)), var
+
+
+def _keep_mask(cfg: MlpConfig, dropout_mask: DropoutMask | None, li: int):
+    if dropout_mask is None or cfg.dropout_rate == 0.0:
+        return None
+    return dropout_mask.masks[li]
+
+
+class BlockCache(NamedTuple):
+    """What a hidden block keeps for its derivatives and its Jacobian scale."""
+
+    z: np.ndarray               # the linear output, (n, width)
+    u: np.ndarray               # the nonlinearity's input
+    bn: tuple | None            # (gamma, beta, mean, invstd) when batchnorm is on
+    elu: bool
+    mask: np.ndarray | None     # the dropout keep mask when dropout is on
+
+
+def _block(cfg: MlpConfig, z: np.ndarray, bn, mask):
+    """One hidden block on its linear output z: batchnorm, nonlinearity, dropout.
+
+    Returns the block output and its cache.
+    """
+    u = z
+    if bn is not None:
+        gamma, beta, mean, invstd = bn
+        u = (z - mean) * invstd * gamma + beta
+    elu = cfg.nonlinearity == "elu"
+    out = u
+    if elu:  # expm1(u) below 0, u above, in one output array
+        out = np.expm1(u)
+        np.copyto(out, u, where=u > 0)
+    if mask is not None:
+        out = out * mask
+    return out, BlockCache(z, u, bn, elu, mask)
+
+
+def _elu_slope(c: BlockCache):
+    """elu'(u), taken as 1 at 0; 1 for the identity."""
+    return np.where(c.u > 0, 1.0, np.exp(np.minimum(c.u, 0.0))) if c.elu else 1.0
+
+
+def _scale(c: BlockCache) -> np.ndarray:
+    """The block's input-Jacobian diagonal s = invstd * gamma * elu'(u) * mask, (n, width)."""
+    s = (1.0 if c.bn is None else c.bn[3] * c.bn[0]) * _elu_slope(c)
+    if c.mask is not None:
+        s = s * c.mask
+    return np.broadcast_to(s, c.z.shape)
+
+
+def _bn_vjp(c: BlockCache, g_u: np.ndarray):
+    """Gradients in (z, gamma, beta, mean, invstd) of the batchnorm output
+    u = (z - mean) * invstd * gamma + beta, with the statistics as inputs;
+    in (z,) alone without batchnorm."""
+    if c.bn is None:
+        return (g_u,)
+    gamma, _, mean, invstd = c.bn
+    centered = c.z - mean
+    g_norm = g_u * gamma
+    dz = g_norm * invstd
+    return (dz, (g_u * centered * invstd).sum(axis=0), g_u.sum(axis=0), -dz.sum(axis=0),
+            (g_norm * centered).sum(axis=0))
+
+
+def _block_vjp(c: BlockCache, g: np.ndarray):
+    if c.mask is not None:
+        g = g * c.mask
+    return _bn_vjp(c, g * _elu_slope(c))
+
+
+def _scale_vjp(c: BlockCache, g: np.ndarray):
+    """Gradients of the scale s in the block node's parents.  Through u they
+    carry elu''(u), which is exp(u) below 0 and 0 above (0 for the identity)."""
+    if c.mask is not None:
+        g = g * c.mask
+    slope = _elu_slope(c)
+    curvature = np.where(c.u > 0, 0.0, slope) if c.elu else 0.0
+    if c.bn is None:
+        return (g * curvature,)
+    gamma, _, _, invstd = c.bn
+    dz, dgamma, dbeta, dmean, dinvstd = _bn_vjp(c, g * (invstd * gamma) * curvature)
+    direct = (g * slope).sum(axis=0)
+    return dz, dgamma + direct * invstd, dbeta, dmean, dinvstd + direct * gamma
 
 
 def forward_fast(params: MlpParams, x, mode: str = "eval", dropout_mask: DropoutMask | None = None,
-                 batch_stats=None, update_running: bool = False, return_stats: bool = False):
-    """Plain numpy forward pass; returns (N, output_dim)."""
+                 batch_stats=None, update_running: bool = False, return_stats: bool = False,
+                 caches: list | None = None):
+    """Plain numpy forward pass; returns (N, output_dim).  When `caches` is a
+    list, each hidden block's BlockCache is appended to it."""
     cfg = params.config
     h = _as_batch(x)
     if h.shape[1] != cfg.input_dim:
@@ -183,16 +272,15 @@ def forward_fast(params: MlpParams, x, mode: str = "eval", dropout_mask: Dropout
     stats_used = []
     for li in range(len(cfg.hidden_dims)):
         z = h @ params.weights[li].T + params.biases[li]
+        bn = None
         if cfg.use_batchnorm:
-            mean, invstd = _hidden_stats(params, li, z, mode, batch_stats, update_running)
+            mean, invstd, _ = _stats(params, li, z, mode, batch_stats, update_running)
             stats_used.append((mean, invstd))
-            z = (z - mean) * np.broadcast_to(invstd, z.shape)
-            z = z * params.bn_scale[li] + params.bn_shift[li]
-        if cfg.nonlinearity == "elu":
-            z = np.where(z > 0, z, np.expm1(z))
-        if dropout_mask is not None and cfg.dropout_rate > 0.0:
-            z = z * np.broadcast_to(dropout_mask.masks[li], z.shape)
-        h = z
+            bn = (params.bn_scale[li], params.bn_shift[li], mean, invstd)
+        h, cache = _block(cfg, z, bn, _keep_mask(cfg, dropout_mask, li))
+        if caches is not None:
+            caches.append(cache)
+        del z, cache  # no block arrays are held into the next layer
     out = h @ params.weights[-1].T + params.biases[-1]
     if return_stats:
         return out, stats_used
@@ -203,79 +291,51 @@ def make_param_nodes(tape: ad.Tape, params: MlpParams) -> dict[str, ad.Node]:
     return {name: tape.leaf(arr) for name, arr in param_arrays(params).items()}
 
 
-def _stat_nodes(tape: ad.Tape, params: MlpParams, li: int, z: ad.Node, mode: str,
-                batch_stats, update_running: bool):
-    """Batch statistics for the tape forward, as a pair of (width,) nodes.
-
-    Freshly computed train-mode statistics are built from tape ops so that
-    parameter gradients flow through the normalization.  Provided statistics
-    (numpy pairs from forward_fast, or node pairs from an earlier tape pass)
-    are reused as-is; eval mode reads the running averages as constants.
-    """
-    if batch_stats is not None:
-        mean, invstd = batch_stats[li]
-        if isinstance(mean, ad.Node):
-            return mean, invstd
-        return tape.constant(mean), tape.constant(invstd)
-    if mode != "train":
-        mean = params.bn_mean[li]
-        return tape.constant(mean), tape.constant(1.0 / np.sqrt(params.bn_var[li] + BN_EPS))
+def _batch_stat_nodes(z: ad.Node, mean: np.ndarray, invstd: np.ndarray, var: np.ndarray):
+    """A batch's own statistics as first-order nodes on its linear output z."""
     n = z.value.shape[0]
-    mean_nd = ad.mul(1.0 / n, ad.sum_axis(z, 0))
-    diff = ad.sub(z, ad.tile_rows(mean_nd, n))
-    var_nd = ad.mul(1.0 / n, ad.sum_axis(ad.mul(diff, diff), 0))
-    invstd_nd = ad.exp(ad.mul(-0.5, ad.log(ad.add(var_nd, float(BN_EPS)))))
-    if update_running:
-        params.bn_mean[li] = (1 - BN_MOMENTUM) * params.bn_mean[li] + BN_MOMENTUM * mean_nd.value
-        params.bn_var[li] = (1 - BN_MOMENTUM) * params.bn_var[li] + BN_MOMENTUM * var_nd.value
-    return mean_nd, invstd_nd
-
-
-def _hidden_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpParams, x_node: ad.Node,
-                  mode: str, dropout_mask: DropoutMask | None, batch_stats, update_running: bool,
-                  scales: list | None = None):
-    """The hidden blocks on the tape; returns (last hidden node, batch stats used).
-
-    When `scales` is a list, each block's input-Jacobian diagonal s_l is
-    appended to it as an (n, width) node.
-    """
-    cfg = params.config
-    h = x_node
-    n = h.value.shape[0]
-    stats_used = []
-    for li in range(len(cfg.hidden_dims)):
-        z = ad.linear(h, pnodes[f"w{li}"], pnodes[f"b{li}"])
-        s = None
-        if cfg.use_batchnorm:
-            mean_nd, invstd_nd = _stat_nodes(tape, params, li, z, mode, batch_stats, update_running)
-            stats_used.append((mean_nd, invstd_nd))
-            zc = ad.sub(z, ad.tile_rows(mean_nd, n))
-            zn = ad.mul(zc, ad.tile_rows(invstd_nd, n))
-            z = ad.add(ad.mul(zn, ad.tile_rows(pnodes[f"bn_scale{li}"], n)), pnodes[f"bn_shift{li}"])
-            if scales is not None:
-                s = ad.tile_rows(ad.mul(invstd_nd, pnodes[f"bn_scale{li}"]), n)
-        if cfg.nonlinearity == "elu":
-            if scales is not None:
-                s = ad.elu_grad(z) if s is None else ad.mul(s, ad.elu_grad(z))
-            z = ad.elu(z)
-        if dropout_mask is not None and cfg.dropout_rate > 0.0:
-            mask = tape.constant(np.broadcast_to(dropout_mask.masks[li], z.value.shape).copy())
-            z = ad.mul(z, mask)
-            if scales is not None:
-                s = mask if s is None else ad.mul(s, mask)
-        if scales is not None:
-            scales.append(tape.constant(np.ones(z.value.shape)) if s is None else s)
-        h = z
-    return h, stats_used
+    mean_node = ad.first_order((z,), mean, lambda g: (np.broadcast_to(g / n, z.value.shape),),
+                               "bn_mean")
+    invstd_node = ad.first_order(
+        (z,), invstd, lambda g: ((z.value - mean) * (g * invstd / (-n * (var + BN_EPS))),),
+        "bn_invstd")
+    return mean_node, invstd_node
 
 
 def forward_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpParams, x_node: ad.Node,
                   mode: str = "eval", dropout_mask: DropoutMask | None = None,
-                  batch_stats=None, update_running: bool = False):
-    """Tape twin of forward_fast; returns (output node, batch stats used)."""
-    h, stats_used = _hidden_nodes(tape, pnodes, params, x_node, mode, dropout_mask,
-                                  batch_stats, update_running)
-    last = len(params.config.hidden_dims)
+                  batch_stats=None, update_running: bool = False, scales: list | None = None):
+    """Tape twin of forward_fast; returns (output node, batch stats used).
+
+    Each hidden block is a `linear` node and one first-order node over
+    `_block`.  With batchnorm its parents also hold gamma, beta and a
+    (mean, invstd) node pair: the given one, constants, or in train mode the
+    batch's own as first-order nodes on the linear output, so that gradients
+    sent to them (by the volume term) reach the weights.  When `scales` is a
+    list, each block's input-Jacobian diagonal s_l is appended to it as an
+    (n, width) node.
+    """
+    cfg = params.config
+    h = x_node
+    stats_used = []
+    for li in range(len(cfg.hidden_dims)):
+        z = ad.linear(h, pnodes[f"w{li}"], pnodes[f"b{li}"])
+        parents, bn = (z,), None
+        if cfg.use_batchnorm:
+            mean, invstd, var = _stats(params, li, z.value, mode, batch_stats, update_running)
+            if var is not None:
+                mean, invstd = _batch_stat_nodes(z, mean, invstd, var)
+            elif not isinstance(mean, ad.Node):
+                mean, invstd = tape.constant(mean), tape.constant(invstd)
+            stats_used.append((mean, invstd))
+            parents = (z, pnodes[f"bn_scale{li}"], pnodes[f"bn_shift{li}"], mean, invstd)
+            bn = tuple(p.value for p in parents[1:])
+        value, cache = _block(cfg, z.value, bn, _keep_mask(cfg, dropout_mask, li))
+        h = ad.first_order(parents, value, functools.partial(_block_vjp, cache), "hidden_block")
+        if scales is not None:
+            scales.append(ad.first_order(parents, _scale(cache),
+                                         functools.partial(_scale_vjp, cache), "block_scale"))
+    last = len(cfg.hidden_dims)
     out = ad.linear(h, pnodes[f"w{last}"], pnodes[f"b{last}"])
     return out, stats_used
 
@@ -334,18 +394,17 @@ def jacobian_batch(params: MlpParams, x, mode: str = "eval",
                    dropout_mask: DropoutMask | None = None, batch_stats=None) -> np.ndarray:
     """(N, output_dim, input_dim) Jacobians, vectorized.
 
-    The hidden blocks run once on the tape for their scales s_l; the chain
-    product is then built from the output side, so the peak intermediate is
+    One numpy forward gives the hidden blocks' scales s_l; the chain product
+    is then built from the output side, so the peak intermediate is
     (N, output_dim, widest layer).  Agrees with jacobian_matrix to round-off
     (tested), it is just faster.
     """
     _require_jacobian_shape(params.config)
     xb = _as_batch(x)
-    tape = ad.Tape()
-    scales: list[ad.Node] = []
-    _hidden_nodes(tape, make_param_nodes(tape, params), params, tape.constant(xb), mode,
-                  dropout_mask, batch_stats, False, scales=scales)
-    return _chain_product(params.weights, [s.value for s in scales], xb.shape[0])[0]
+    caches: list[BlockCache] = []
+    forward_fast(params, xb, mode=mode, dropout_mask=dropout_mask, batch_stats=batch_stats,
+                 caches=caches)
+    return _chain_product(params.weights, [_scale(c) for c in caches], xb.shape[0])[0]
 
 
 def _degenerate(sample_index: int):
@@ -437,10 +496,10 @@ def log_jacobian_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpPar
                        dropout_mask: DropoutMask | None = None, batch_stats=None) -> list[ad.Node]:
     """Per-sample log J_f as tape nodes, differentiable with respect to weights.
 
-    The hidden blocks run on x_leaf to give the scales s_l as tape nodes;
-    one first-order node then holds all n values 0.5 log det(D D^T + jI)
-    of the chain product D and returns closed-form gradients in the weights
-    and the scales, from which the tape carries them on to biases, batchnorm
+    forward_nodes on x_leaf gives the scales s_l as tape nodes; one
+    first-order node then holds all n values 0.5 log det(D D^T + jI) of the
+    chain product D and returns closed-form gradients in the weights and the
+    scales, from which the tape carries them on to biases, batchnorm
     parameters and statistics.  Rows of the batch do not interact:
     batchnorm statistics come from the main pass (batch_stats, as nodes or
     arrays) or the running averages, and count as constants of x.  Returns
@@ -449,7 +508,7 @@ def log_jacobian_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpPar
     _require_jacobian_shape(params.config)
     n = x_leaf.value.shape[0]
     scale_nodes: list[ad.Node] = []
-    _hidden_nodes(tape, pnodes, params, x_leaf, mode, dropout_mask, batch_stats, False,
+    forward_nodes(tape, pnodes, params, x_leaf, mode, dropout_mask, batch_stats,
                   scales=scale_nodes)
     weight_nodes = [pnodes[f"w{li}"] for li in range(len(params.weights))]
     weights = [w.value for w in weight_nodes]
