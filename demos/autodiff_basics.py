@@ -19,9 +19,9 @@ b0 = 0.3
 lam = 0.1
 
 tape = ad.Tape()
-w = tape.leaf(w0.reshape(3, 1))          # leaves are what backward differentiates
+w = tape.leaf(w0.reshape(1, 3))          # leaves are what backward differentiates
 b = tape.leaf(np.array([b0]))
-pred = ad.add(ad.matmul(tape.constant(X), w), ad.tile_rows(b, len(y)))
+pred = ad.linear(tape.constant(X), w, b)  # X @ w^T + b, one dense-layer node
 resid = ad.sub(pred, tape.constant(y.reshape(-1, 1)))
 loss = ad.add(ad.mean_all(ad.mul(resid, resid)),
               ad.mul(lam, ad.sum_all(ad.mul(w, w))))
@@ -45,8 +45,7 @@ print("max deviation        %.2e" % max(np.abs(grads[w].ravel() - grad_w_manual)
 
 def builder(tape, u, v):
     p = ad.matmul(u, v)
-    h = ad.sigmoid(p)
-    return ad.sum_all(ad.softplus(ad.sub(h, ad.exp(ad.mul(0.1, p)))))
+    return ad.sum_all(ad.logsumexp_rows(ad.sub(ad.mul(p, p), p)))
 
 
 points = [rng.normal(size=(4, 5)), rng.normal(size=(5, 2))]

@@ -7,17 +7,20 @@ construction, so backward() is a single reverse sweep.
 The tape is first order.  A node's backward rule (its VJP) maps the upstream
 gradient array to one gradient array per parent (None for a parent that
 needs none, such as a constant operand of matmul), computed in numpy, and the
-sweep appends nothing to the tape.  Quantities that would need a gradient of
-a gradient, such as the log-volume of the network's input Jacobian, are
-written as one `first_order` node whose value and VJP are closed-form numpy
-(`network.log_jacobian_nodes`, `mixtures.density_nodes`).  A dense layer is
-one `linear` node, x @ w^T + b, whose weight gradient g^T x has the weight's
-own row-major layout, so optimizer passes over it run at unit stride.
+sweep appends nothing to the tape.  Larger pieces are one `first_order` node
+each, with closed-form numpy value and VJP: a hidden block of the network, its
+batch statistics and Jacobian scale (`network.forward_nodes`), the input
+Jacobian's log-volume (`network.log_jacobian_nodes`), the mixture densities
+(`mixtures.density_nodes`) and `logsumexp_rows`.
 
-Broadcasting is deliberately narrow: binary elementwise ops accept equal
-shapes or a scalar paired with a tensor, and add/sub additionally accept a
-rank-1 vector added across the rows of a rank-2 matrix (bias add).  Anything
-wider must be spelled out with explicit ops (tile_rows, ...), which keeps
+The other ops are those the package uses: add, sub, mul, neg, matmul, dot,
+sum_all, mean_all, take_per_row, and linear, one node for a dense layer
+x @ w^T + b whose weight gradient g^T x keeps the weight's row-major layout,
+so optimizer passes over it run at unit stride.
+
+Broadcasting is deliberately narrow: binary elementwise ops take operands
+of equal shape, and add also a rank-1 vector added across the rows of a
+rank-2 matrix (bias add).  Anything wider is a first-order node, which keeps
 shape bugs loud.
 """
 
@@ -26,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "Tape",
@@ -90,22 +92,15 @@ class Tape:
         self.nodes.clear()
 
 
-def _binary_kind(a: Node, b: Node, op: str, allow_bias: bool) -> str:
+def _check_shapes(a: Node, b: Node, op: str, allow_bias: bool = False) -> bool:
+    """Raise unless a and b have equal shapes or, when allowed, b is a rank-1
+    bias across the rows of a rank-2 a; returns whether it is the bias."""
     sa, sb = a.value.shape, b.value.shape
     if sa == sb:
-        return "same"
-    if sa == ():
-        return "scalar_left"
-    if sb == ():
-        return "scalar_right"
+        return False
     if allow_bias and len(sa) == 2 and len(sb) == 1 and sa[1] == sb[0]:
-        return "bias"
+        return True
     raise ValueError(f"{op}: incompatible shapes {sa} and {sb}")
-
-
-def _total(g: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar operand that was broadcast against a tensor."""
-    return np.asarray(g.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -114,57 +109,28 @@ def _total(g: np.ndarray) -> np.ndarray:
 
 def add(a: Node, b: Node) -> Node:
     a, b = _coerce_pair(a, b)
-    kind = _binary_kind(a, b, "add", allow_bias=True)
+    bias = _check_shapes(a, b, "add", allow_bias=True)
     out = Node(a.tape, a.value + b.value, (a, b), None, "add")
-    if kind == "same":
-        out.vjp = lambda g: (g, g)
-    elif kind == "scalar_left":
-        out.vjp = lambda g: (_total(g), g)
-    elif kind == "scalar_right":
-        out.vjp = lambda g: (g, _total(g))
-    else:  # bias
+    if bias:
         out.vjp = lambda g: (g, g.sum(axis=0))
+    else:
+        out.vjp = lambda g: (g, g)
     return out
 
 
 def sub(a: Node, b: Node) -> Node:
     a, b = _coerce_pair(a, b)
-    kind = _binary_kind(a, b, "sub", allow_bias=True)
+    _check_shapes(a, b, "sub")
     out = Node(a.tape, a.value - b.value, (a, b), None, "sub")
-    if kind == "same":
-        out.vjp = lambda g: (g, -g)
-    elif kind == "scalar_left":
-        out.vjp = lambda g: (_total(g), -g)
-    elif kind == "scalar_right":
-        out.vjp = lambda g: (g, -_total(g))
-    else:
-        out.vjp = lambda g: (g, -g.sum(axis=0))
+    out.vjp = lambda g: (g, -g)
     return out
 
 
 def mul(a: Node, b: Node) -> Node:
     a, b = _coerce_pair(a, b)
-    kind = _binary_kind(a, b, "mul", allow_bias=False)
+    _check_shapes(a, b, "mul")
     out = Node(a.tape, a.value * b.value, (a, b), None, "mul")
-    if kind == "same":
-        out.vjp = lambda g: (g * b.value, g * a.value)
-    elif kind == "scalar_left":
-        out.vjp = lambda g: (_total(g * b.value), g * a.value)
-    else:
-        out.vjp = lambda g: (g * b.value, _total(g * a.value))
-    return out
-
-
-def div(a: Node, b: Node) -> Node:
-    a, b = _coerce_pair(a, b)
-    kind = _binary_kind(a, b, "div", allow_bias=False)
-    out = Node(a.tape, a.value / b.value, (a, b), None, "div")
-    if kind == "same":
-        out.vjp = lambda g: (g / b.value, -(g * out.value / b.value))
-    elif kind == "scalar_left":
-        out.vjp = lambda g: (_total(g / b.value), -(g * out.value / b.value))
-    else:
-        out.vjp = lambda g: (g / b.value, -_total(g * out.value / b.value))
+    out.vjp = lambda g: (g * b.value, g * a.value)
     return out
 
 
@@ -180,52 +146,6 @@ def _coerce_pair(a, b):
 def neg(a: Node) -> Node:
     out = Node(a.tape, -a.value, (a,), None, "neg")
     out.vjp = lambda g: (-g,)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# elementwise unary ops
-
-
-def exp(a: Node) -> Node:
-    out = Node(a.tape, np.exp(a.value), (a,), None, "exp")
-    out.vjp = lambda g: (g * out.value,)
-    return out
-
-
-def log(a: Node) -> Node:
-    out = Node(a.tape, np.log(a.value), (a,), None, "log")
-    out.vjp = lambda g: (g / a.value,)
-    return out
-
-
-def sigmoid(a: Node) -> Node:
-    out = Node(a.tape, expit(a.value), (a,), None, "sigmoid")
-    out.vjp = lambda g: (g * (out.value * (1.0 - out.value)),)
-    return out
-
-
-def softplus(a: Node) -> Node:
-    out = Node(a.tape, np.logaddexp(0.0, a.value), (a,), None, "softplus")
-    out.vjp = lambda g: (g * expit(a.value),)
-    return out
-
-
-def _elu_slope(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
-
-
-def elu(a: Node) -> Node:
-    """elu(x) = x for x > 0, exp(x) - 1 otherwise; slope at 0 is taken as 1."""
-    out = Node(a.tape, np.where(a.value > 0, a.value, np.expm1(a.value)), (a,), None, "elu")
-    out.vjp = lambda g: (g * _elu_slope(a.value),)
-    return out
-
-
-def elu_grad(a: Node) -> Node:
-    """The slope of elu; its own slope is exp(x) on x <= 0 and 0 beyond."""
-    out = Node(a.tape, _elu_slope(a.value), (a,), None, "elu_grad")
-    out.vjp = lambda g: (g * np.where(a.value > 0, 0.0, out.value),)
     return out
 
 
@@ -270,13 +190,6 @@ def dot(a: Node, b: Node) -> Node:
     return out
 
 
-def reshape(a: Node, shape) -> Node:
-    shape = tuple(shape)
-    out = Node(a.tape, a.value.reshape(shape).copy(), (a,), None, "reshape")
-    out.vjp = lambda g: (g.reshape(a.value.shape),)
-    return out
-
-
 def first_order(parents, value, vjp_arrays, op: str) -> Node:
     """A node computed in numpy outside the primitive set; vjp_arrays(g) maps
     the upstream gradient array to one gradient array per parent."""
@@ -293,29 +206,8 @@ def sum_all(a: Node) -> Node:
     return out
 
 
-def sum_axis(a: Node, axis: int) -> Node:
-    if a.value.ndim != 2 or axis not in (0, 1):
-        raise ValueError("sum_axis: expects rank-2 and axis in {0, 1}")
-    out = Node(a.tape, a.value.sum(axis=axis), (a,), None, "sum_axis")
-    n_rows, n_cols = a.value.shape
-    if axis == 0:
-        out.vjp = lambda g: (np.tile(g, (n_rows, 1)),)
-    else:
-        out.vjp = lambda g: (np.tile(g, (n_cols, 1)).T,)
-    return out
-
-
 def mean_all(a: Node) -> Node:
     return mul(1.0 / a.value.size, sum_all(a))
-
-
-def tile_rows(a: Node, n: int) -> Node:
-    """Replicate a rank-1 vector into n identical rows."""
-    if a.value.ndim != 1:
-        raise ValueError("tile_rows: expects rank-1")
-    out = Node(a.tape, np.tile(a.value, (n, 1)), (a,), None, "tile_rows")
-    out.vjp = lambda g: (g.sum(axis=0),)
-    return out
 
 
 def take_per_row(a: Node, idx) -> Node:

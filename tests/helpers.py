@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 
 from masslearn import autodiff as ad
+from masslearn import network as net
 
 
 def _weighted_sum(t, node, rng):
@@ -15,81 +16,73 @@ def _weighted_sum(t, node, rng):
     return ad.sum_all(ad.mul(node, w))
 
 
+def _network_points(rng):
+    """An input batch and the parameters of a batchnorm network, in param_arrays order."""
+    x = rng.normal(size=(5, 3))
+    w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(4,))
+    w1, b1 = rng.normal(size=(2, 4)), rng.normal(size=(2,))
+    return [x, w0, b0, w1, b1, 0.5 + np.abs(rng.normal(size=(4,))), rng.normal(size=(4,))]
+
+
+def _network_nodes(t, leaves, scales=None):
+    """forward_nodes in train mode with dropout: hidden-block, batch-statistic and
+    (when `scales` is a list) block-scale nodes."""
+    cfg = net.MlpConfig(3, (4,), 2, dropout_rate=0.3, use_batchnorm=True)
+    params = net.mlp_init(cfg, seed=0)
+    pnodes = dict(zip(net.param_arrays(params), leaves[1:]))
+    mask = net.DropoutMask([np.array([2.0, 0.0, 2.0, 2.0])])
+    out, _ = net.forward_nodes(t, pnodes, params, leaves[0], mode="train", dropout_mask=mask,
+                               scales=scales)
+    return out
+
+
+def _scale_sum(t, rng, *leaves):
+    scales = []
+    _network_nodes(t, leaves, scales)
+    return _weighted_sum(t, scales[0], rng)
+
+
 def primitive_gradcheck_catalog():
-    """One entry per diffcore primitive: (name, make_points(rng), builder).
+    """One entry per node-making function: (name, make_points(rng), builder).
 
-    builder(tape, rng, *leaves) must return a scalar node.  Points avoid
-    kinks (elu at 0) and singular domains (log near 0) so central
-    differences are trustworthy.
+    The name is the function's name in masslearn.autodiff, or
+    "network.<function>" for the node kinds network builds, optionally
+    followed by ":<case>".  builder(tape, rng, *leaves) must return a scalar
+    node.
     """
-
-    def away_from_kink(rng, shape):
-        x = rng.normal(size=shape)
-        return x + np.sign(x) * 0.1 + np.where(x == 0, 0.2, 0.0)
-
-    def positive(rng, shape):
-        return 0.5 + np.abs(rng.normal(size=shape))
-
     idx = np.array([0, 2, 1, 1])
 
     catalog = [
-        ("add_same", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
+        ("add", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
          lambda t, rng, a, b: _weighted_sum(t, ad.add(a, b), rng)),
-        ("add_scalar", lambda rng: [rng.normal(size=()), rng.normal(size=(3, 4))],
+        ("add:bias", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(4,))],
          lambda t, rng, a, b: _weighted_sum(t, ad.add(a, b), rng)),
-        ("add_bias", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(4,))],
-         lambda t, rng, a, b: _weighted_sum(t, ad.add(a, b), rng)),
-        ("sub_same", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
+        ("sub", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
          lambda t, rng, a, b: _weighted_sum(t, ad.sub(a, b), rng)),
-        ("sub_scalar", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=())],
-         lambda t, rng, a, b: _weighted_sum(t, ad.sub(a, b), rng)),
-        ("sub_bias", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(4,))],
-         lambda t, rng, a, b: _weighted_sum(t, ad.sub(a, b), rng)),
-        ("mul_same", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
+        ("mul", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))],
          lambda t, rng, a, b: _weighted_sum(t, ad.mul(a, b), rng)),
-        ("mul_scalar", lambda rng: [rng.normal(size=()), rng.normal(size=(3, 4))],
-         lambda t, rng, a, b: _weighted_sum(t, ad.mul(a, b), rng)),
-        ("div_same", lambda rng: [rng.normal(size=(3, 4)), positive(rng, (3, 4))],
-         lambda t, rng, a, b: _weighted_sum(t, ad.div(a, b), rng)),
-        ("div_scalar", lambda rng: [rng.normal(size=(3, 4)), positive(rng, ())],
-         lambda t, rng, a, b: _weighted_sum(t, ad.div(a, b), rng)),
         ("neg", lambda rng: [rng.normal(size=(3, 4))],
          lambda t, rng, a: _weighted_sum(t, ad.neg(a), rng)),
-        ("exp", lambda rng: [rng.normal(size=(3, 4))],
-         lambda t, rng, a: _weighted_sum(t, ad.exp(a), rng)),
-        ("log", lambda rng: [positive(rng, (3, 4))],
-         lambda t, rng, a: _weighted_sum(t, ad.log(a), rng)),
-        ("sigmoid", lambda rng: [rng.normal(size=(3, 4))],
-         lambda t, rng, a: _weighted_sum(t, ad.sigmoid(a), rng)),
-        ("softplus", lambda rng: [rng.normal(size=(3, 4))],
-         lambda t, rng, a: _weighted_sum(t, ad.softplus(a), rng)),
-        ("elu", lambda rng: [away_from_kink(rng, (3, 4))],
-         lambda t, rng, a: _weighted_sum(t, ad.elu(a), rng)),
-        ("elu_grad", lambda rng: [away_from_kink(rng, (3, 4))],
-         lambda t, rng, a: _weighted_sum(t, ad.elu_grad(a), rng)),
         ("matmul", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))],
          lambda t, rng, a, b: _weighted_sum(t, ad.matmul(a, b), rng)),
         ("linear", lambda rng: [rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), rng.normal(size=(2,))],
          lambda t, rng, x, w, b: _weighted_sum(t, ad.linear(x, w, b), rng)),
         ("dot", lambda rng: [rng.normal(size=(5,)), rng.normal(size=(5,))],
          lambda t, rng, a, b: ad.dot(a, b)),
-        ("reshape", lambda rng: [rng.normal(size=(3, 4))],
-         lambda t, rng, a: _weighted_sum(t, ad.reshape(a, (2, 6)), rng)),
         ("first_order", lambda rng: [rng.normal(size=(3, 4))],
          lambda t, rng, a: _weighted_sum(
              t, ad.first_order((a,), np.sin(a.value), lambda g: (g * np.cos(a.value),), "sin"), rng)),
         ("sum_all", lambda rng: [rng.normal(size=(3, 4))],
          lambda t, rng, a: ad.sum_all(a)),
-        ("sum_axis0", lambda rng: [rng.normal(size=(3, 4))],
-         lambda t, rng, a: _weighted_sum(t, ad.sum_axis(a, 0), rng)),
-        ("sum_axis1", lambda rng: [rng.normal(size=(3, 4))],
-         lambda t, rng, a: _weighted_sum(t, ad.sum_axis(a, 1), rng)),
-        ("tile_rows", lambda rng: [rng.normal(size=(4,))],
-         lambda t, rng, a: _weighted_sum(t, ad.tile_rows(a, 3), rng)),
+        ("mean_all", lambda rng: [rng.normal(size=(3, 4))],
+         lambda t, rng, a: ad.mean_all(ad.mul(a, a))),
         ("take_per_row", lambda rng: [rng.normal(size=(4, 3))],
          lambda t, rng, a: _weighted_sum(t, ad.take_per_row(a, idx), rng)),
         ("logsumexp_rows", lambda rng: [rng.normal(size=(3, 4))],
          lambda t, rng, a: _weighted_sum(t, ad.logsumexp_rows(a), rng)),
+        ("network.forward_nodes:block", _network_points,
+         lambda t, rng, *leaves: _weighted_sum(t, _network_nodes(t, leaves), rng)),
+        ("network.forward_nodes:scale", _network_points, _scale_sum),
     ]
     return catalog
 

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from masslearn import autodiff as ad
 from masslearn import network as net
@@ -57,6 +59,25 @@ def test_tape_forward_matches_fast_forward_bitwise():
     out, _ = net.forward_nodes(tape, pnodes, params, tape.leaf(x), mode="train",
                                dropout_mask=mask, batch_stats=stats)
     np.testing.assert_array_equal(fast, out.value)
+
+
+def test_elu_values():
+    cfg = net.MlpConfig(input_dim=3, hidden_dims=(3,), output_dim=3)
+    params = net.mlp_init(cfg, seed=0)
+    params.weights = [np.eye(3), np.eye(3)]
+    got = net.forward_fast(params, np.array([-1.0, 0.0, 2.0]))[0]
+    assert got[0] == pytest.approx(math.exp(-1) - 1, abs=1e-12)
+    assert got[1] == 0.0
+    assert got[2] == 2.0
+
+
+def test_elu_derivative_at_zero_is_one():
+    # through the tape's block node and through the block scale of jacobian_batch
+    cfg = net.MlpConfig(input_dim=1, hidden_dims=(1,), output_dim=1)
+    params = net.mlp_init(cfg, seed=0)
+    params.weights = [np.ones((1, 1)), np.ones((1, 1))]
+    assert net.jacobian_matrix(params, np.zeros(1))[0, 0] == 1.0
+    assert net.jacobian_batch(params, np.zeros(1))[0, 0, 0] == 1.0
 
 
 def test_jacobian_matrix_matches_finite_differences():
@@ -233,6 +254,56 @@ def test_volume_node_matches_log_jacobian_batch(seed, r, extra, hidden, batchnor
                                    mode="train", dropout_mask=mask,
                                    batch_stats=stats if stat_nodes else arrays)
     np.testing.assert_allclose([v.item() for v in nodes], want, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), width=st.integers(2, 5), batchnorm=st.booleans(),
+       dropout=st.sampled_from([0.0, 0.3]), nonlinearity=st.sampled_from(["elu", "identity"]),
+       mode=st.sampled_from(["train", "eval"]), stats=st.sampled_from(["nodes", "arrays", "none"]))
+def test_block_nodes_grad_check(seed, width, batchnorm, dropout, nonlinearity, mode, stats):
+    # gradients of the network output and of the summed volume term in the
+    # input, weights, biases and batchnorm parameters, against central
+    # differences; batch statistics come from a train-mode tape pass on the
+    # same batch (nodes), from forward_fast (arrays), or from the mode itself
+    cfg = net.MlpConfig(input_dim=3, hidden_dims=(width, 3), output_dim=2,
+                        nonlinearity=nonlinearity, dropout_rate=dropout, use_batchnorm=batchnorm)
+    params = net.mlp_init(cfg, seed=seed % 1000)
+    gen = np.random.default_rng(seed)
+    for li in range(len(params.bn_scale)):
+        params.bn_scale[li] = gen.uniform(0.5, 1.5, size=params.bn_scale[li].shape)
+        params.bn_shift[li] = 0.3 * gen.normal(size=params.bn_shift[li].shape)
+        params.bn_mean[li] = 0.3 * gen.normal(size=params.bn_mean[li].shape)
+        params.bn_var[li] = gen.uniform(0.5, 2.0, size=params.bn_var[li].shape)
+    mask = net.sample_dropout_mask(cfg, gen)
+    x = gen.normal(size=(5, 3))
+    _, fast_stats = net.forward_fast(params, x, mode="train", dropout_mask=mask, return_stats=True)
+    jac = net.jacobian_batch(params, x, mode=mode, dropout_mask=mask,
+                             batch_stats=fast_stats if stats != "none" else None)
+    assume(min(np.linalg.eigvalsh(d @ d.T).min() for d in jac) > 1e-2)
+    names = list(net.param_arrays(params))
+    out_weights = gen.normal(size=(5, 2))
+
+    def build(volume):
+        def builder(tape, x_leaf, *leaves):
+            pnodes = dict(zip(names, leaves))
+            batch_stats = {"arrays": fast_stats, "none": None}.get(stats)
+            if stats == "nodes":
+                _, batch_stats = net.forward_nodes(tape, pnodes, params, x_leaf, mode="train",
+                                                   dropout_mask=mask)
+            kw = dict(mode=mode, dropout_mask=mask, batch_stats=batch_stats)
+            if volume:
+                lds = net.log_jacobian_nodes(tape, pnodes, params, x_leaf, jitter=1e-9, **kw)
+                total = lds[0]
+                for ld in lds[1:]:
+                    total = ad.add(total, ld)
+                return total
+            out, _ = net.forward_nodes(tape, pnodes, params, x_leaf, **kw)
+            return ad.sum_all(ad.mul(out, tape.constant(out_weights)))
+        return builder
+
+    points = [x, *net.param_arrays(params).values()]
+    assert ad.grad_check(build(False), points).max_rel_error <= 1e-6
+    assert ad.grad_check(build(True), points).max_rel_error <= 1e-5
 
 
 def test_amgm_slack_nonnegative():
