@@ -194,14 +194,15 @@ class BlockCache(NamedTuple):
 
 
 def _block(cfg: MlpConfig, z: np.ndarray, bn, mask):
-    """One hidden block on its linear output z: batchnorm, nonlinearity, dropout.
-
-    Returns the block output and its cache.
-    """
+    """One hidden block on its linear output z: batchnorm, nonlinearity,
+    dropout.  Returns the block output and its cache."""
     u = z
-    if bn is not None:
+    if bn is not None:  # (z - mean) * invstd * gamma + beta, in place in one array
         gamma, beta, mean, invstd = bn
-        u = (z - mean) * invstd * gamma + beta
+        u = z - mean
+        u *= invstd
+        u *= gamma
+        u += beta
     elu = cfg.nonlinearity == "elu"
     out = u
     if elu:  # expm1(u) below 0, u above, in one output array
