@@ -80,9 +80,6 @@ class Tape:
     def constant(self, value) -> Node:
         return Node(self, _as_value(value), (), None, "const")
 
-    def __len__(self):
-        return len(self.nodes)
-
     def release(self) -> None:
         """After the last backward: cut the node/tape and closure reference
         cycles so the graph is freed at once, not by the cyclic collector."""

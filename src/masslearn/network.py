@@ -194,8 +194,10 @@ class BlockCache(NamedTuple):
 
 
 def _block(cfg: MlpConfig, z: np.ndarray, bn, mask):
-    """One hidden block on its linear output z: batchnorm, nonlinearity,
-    dropout.  Returns the block output and its cache."""
+    """One hidden block on its linear output z: batchnorm, nonlinearity, dropout.
+
+    Returns the block output and its cache.
+    """
     u = z
     if bn is not None:  # (z - mean) * invstd * gamma + beta, in place in one array
         gamma, beta, mean, invstd = bn
@@ -264,8 +266,10 @@ def _scale_vjp(c: BlockCache, g: np.ndarray):
 def forward_fast(params: MlpParams, x, mode: str = "eval", dropout_mask: DropoutMask | None = None,
                  batch_stats=None, update_running: bool = False, return_stats: bool = False,
                  caches: list | None = None):
-    """Plain numpy forward pass; returns (N, output_dim).  When `caches` is a
-    list, each hidden block's BlockCache is appended to it."""
+    """Plain numpy forward pass; returns (N, output_dim).
+
+    When `caches` is a list, each hidden block's BlockCache is appended to it.
+    """
     cfg = params.config
     h = _as_batch(x)
     if h.shape[1] != cfg.input_dim:
