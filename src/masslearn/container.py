@@ -9,13 +9,14 @@ Layout (all integers little-endian):
 
 The JSON header has two keys:
 
-    "meta":   arbitrary JSON-serializable metadata supplied by the caller
+    "meta":   a JSON object of metadata supplied by the caller
     "arrays": list of {"name", "dtype", "shape", "offset", "nbytes"} entries;
               offsets are relative to the end of the header and arrays are
               stored C-contiguous in the listed order with no padding.
 
 Only float64 and int64 arrays are accepted, which keeps round trips
-bit-exact and the format trivially portable.
+bit-exact and the format trivially portable.  Reading raises ContainerError
+for any malformed file, truncated ones included.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def write_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     blobs = []
     offset = 0
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr)  # not ascontiguousarray, which makes a 0-d array 1-d
         if arr.dtype == np.float64:
             dtype = "<f8"
         elif arr.dtype == np.int64:
@@ -66,17 +67,47 @@ def write_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
             fh.write(buf)
 
 
+def _entry_error(entry) -> str | None:
+    """Why a manifest entry is malformed, or None if it is well formed."""
+    if not isinstance(entry, dict) or set(entry) != {"name", "dtype", "shape", "offset", "nbytes"}:
+        return "malformed array entry"
+    if not isinstance(entry["name"], str):
+        return "array name is not a string"
+    if entry["dtype"] not in _ALLOWED:
+        return f"unsupported dtype {entry['dtype']!r}"
+    shape, offset, nbytes = entry["shape"], entry["offset"], entry["nbytes"]
+    if not (isinstance(shape, list)
+            and all(type(d) is int and d >= 0 for d in shape)
+            and type(offset) is int and offset >= 0 and type(nbytes) is int):
+        return f"bad shape or offset for array {entry['name']!r}"
+    if nbytes != 8 * int(np.prod(shape, dtype=object)):
+        return f"array {entry['name']!r}: nbytes {nbytes} does not match shape {shape}"
+    return None
+
+
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, arrays) of a container file; ContainerError for any malformed file."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise ContainerError(f"{path}: bad magic, not a MASSCON1 container")
+    if len(raw) < 16:
+        raise ContainerError(f"{path}: truncated container (header length)")
     hlen = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
     base = 16 + hlen
+    if base > len(raw):
+        raise ContainerError(f"{path}: truncated container (header)")
+    try:
+        header = json.loads(raw[16:base].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ContainerError(f"{path}: header is not valid JSON ({e})") from None
+    if (not isinstance(header, dict) or set(header) != {"meta", "arrays"}
+            or not isinstance(header["meta"], dict) or not isinstance(header["arrays"], list)):
+        raise ContainerError(f"{path}: header must be an object with meta and arrays")
     arrays = {}
     for entry in header["arrays"]:
-        if entry["dtype"] not in _ALLOWED:
-            raise ContainerError(f"{path}: unsupported dtype {entry['dtype']}")
+        problem = _entry_error(entry)
+        if problem:
+            raise ContainerError(f"{path}: {problem}")
         start = base + entry["offset"]
         stop = start + entry["nbytes"]
         if stop > len(raw):

@@ -12,11 +12,17 @@ Classification goes through Bayes rule on log densities:
     q(y | z) = q(z | y) p(y) / sum_c q(z | c) p(c)
 
 The log density q(z | y) is one numpy function over the three parameter
-tensors a checkpoint stores.  Scoring calls it; training wraps it as one
-tape node with a closed-form gradient, so both paths agree bit-for-bit.
+tensors a checkpoint stores.  Scoring calls it; `mass` training wraps it as
+one tape node with a closed-form gradient, so both paths agree bit-for-bit.
 Each call inverts all C K Cholesky factors at once by forward substitution;
 whitening the points for one class is then a single GEMM against that
 class's stacked inverses, in the density and in its gradient alike.
+
+The gradient is written once, per class (`_class_vjp`).  The tape node runs
+it for every class on all N points, since the marginal needs the whole
+(N, C) matrix.  `mle_fit` maximises sum_i log q(z_i | y_i), in which class
+c's parameters only meet the rows labelled c, so it runs it for each class
+on that class's own rows, in plain numpy with no tape.
 """
 
 from __future__ import annotations
@@ -140,36 +146,50 @@ def class_log_density(means: np.ndarray, chol_raw: np.ndarray, weight_logits: np
     return np.stack(cols, axis=1)
 
 
+def _class_vjp(l_fac_c, inv_c, raw_c, log_w_c, y, comp, out_c, g_c, g_sum, need_z: bool):
+    """Gradients of sum_i g_c[i] out_c[i] for one class c at its points, where
+    y, comp = _class_terms(...) there and out_c is their log density; g_sum is
+    the sum of g_c (passed in, so a caller can fix its rounding).  Returns
+    (dz or None, dmeans_c, draw_c, dlogits_c).
+    With u = L^-T y and h = g * responsibility: dz = -sum h u, dmu = sum h u,
+    dL = tril(sum h u y^T) - diag(sum h / L_jj), dlogits = sum h - w sum g.
+    Here h u = (h y) L^-1 row by row, so dz is one GEMM of h y as (N, K r)
+    against L^-1 stacked as (K r, r), dmu is (sum h y) L^-1, and
+    dL = L^-T (h y)^T y is one batched matmul over K."""
+    n_comp, r = inv_c.shape[:2]
+    idx = np.arange(r)
+    h = g_c[:, None] * np.exp(comp + log_w_c - out_c[:, None])                # (N, K)
+    hy = y * h[:, :, None]                                                   # (N, K, r)
+    d_z = None
+    if need_z:
+        d_z = hy.reshape(len(y), n_comp * r) @ inv_c.reshape(n_comp * r, r)
+        np.negative(d_z, out=d_z)
+    d_means = (hy.sum(axis=0)[:, None, :] @ inv_c)[:, 0, :]
+    h_sum = h.sum(axis=0)
+    d_l = np.tril(np.swapaxes(inv_c, 1, 2) @ (hy.transpose(1, 2, 0) @ y.transpose(1, 0, 2)))
+    d_l[:, idx, idx] -= h_sum[:, None] / l_fac_c[:, idx, idx]
+    d_l[:, idx, idx] *= expit(raw_c[:, idx, idx])
+    return d_z, d_means, d_l, h_sum - np.exp(log_w_c) * g_sum
+
+
 def _class_log_density_vjp(means, chol_raw, weight_logits, z, out, g, need_z: bool = True):
     """Gradients of sum(g * out) in z, means, chol_raw, weight_logits, where
     out = class_log_density(...); the z gradient is None unless need_z.
-    With u = L^-T y and h = g * responsibility: dz = -sum h u, dmu = sum h u,
-    dL = tril(sum h u y^T) - diag(sum h / L_jj), dlogits = sum h - w sum g.
-    Per class, h u = (h y) L^-1 row by row, so dz is one GEMM of h y as
-    (N, K r) against L^-1 stacked as (K r, r), dmu is (sum h y) L^-1, and
-    dL = L^-T (h y)^T y is one batched matmul over K."""
+    One `_class_vjp` per class over all N points."""
     log_w = _log_weights(weight_logits)
     l_fac, inv, sumlog = _factors(chol_raw)
-    n_comp, r = means.shape[1:]
     d_z = np.zeros_like(z) if need_z else None
     d_means = np.empty_like(means)
     d_raw = np.empty_like(chol_raw)
     d_logits = np.empty_like(weight_logits)
-    idx = np.arange(r)
     for c in range(means.shape[0]):
         # recomputed, not kept from the forward: keeping y would hold (C, N, K, r)
         y, comp = _class_terms(means[c], inv[c], sumlog[c], z)
-        h = g[:, c, None] * np.exp(comp + log_w[c] - out[:, c, None])      # (N, K)
-        hy = y * h[:, :, None]                                                # (N, K, r)
+        d_zc, d_means[c], d_raw[c], d_logits[c] = _class_vjp(
+            l_fac[c], inv[c], chol_raw[c], log_w[c], y, comp, out[:, c], g[:, c], g[:, c].sum(),
+            need_z)
         if need_z:
-            d_z -= hy.reshape(len(z), n_comp * r) @ inv[c].reshape(n_comp * r, r)
-        d_means[c] = (hy.sum(axis=0)[:, None, :] @ inv[c])[:, 0, :]
-        h_sum = h.sum(axis=0)
-        d_l = np.tril(np.swapaxes(inv[c], 1, 2) @ (hy.transpose(1, 2, 0) @ y.transpose(1, 0, 2)))
-        d_l[:, idx, idx] -= h_sum[:, None] / l_fac[c][:, idx, idx]
-        d_l[:, idx, idx] *= expit(chol_raw[c][:, idx, idx])
-        d_raw[c] = d_l
-        d_logits[c] = h_sum - np.exp(log_w[c]) * g[:, c].sum()
+            d_z += d_zc
     return d_z, d_means, d_raw, d_logits
 
 
@@ -212,9 +232,9 @@ def fit_priors(m: ClassConditionalMixture, labels) -> ClassConditionalMixture:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("fit_priors: empty label set")
-    counts = np.bincount(labels, minlength=m.n_classes).astype(np.float64)
-    if counts.size > m.n_classes:
+    if np.any(labels < 0) or np.any(labels >= m.n_classes):
         raise ValueError("fit_priors: label out of range")
+    counts = np.bincount(labels, minlength=m.n_classes).astype(np.float64)
     return replace(m, class_priors=counts / counts.sum())
 
 
@@ -248,7 +268,7 @@ class DensityNodes(NamedTuple):
 def density_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], m: ClassConditionalMixture,
                   z_node: ad.Node, labels) -> DensityNodes:
     """The numpy densities on the tape, differentiable in z and the parameters;
-    a tape-constant z (the features of mle_fit) gets no gradient."""
+    a tape-constant z (fixed data points) gets no gradient."""
     labels = np.asarray(labels, dtype=np.int64)
     params = [pnodes[name] for name in mixture_param_arrays(m)]
     arrays = [p.value for p in params]
@@ -283,17 +303,26 @@ def mle_fit(z, labels, n_classes: int, n_components: int, steps: int, seed: int,
     Means start at the class sample mean plus a seeded jitter (symmetry
     breaking for K > 1), Cholesky diagonals at the per-dimension std.  Priors
     are set to empirical frequencies.  Deterministic in seed.
+
+    Class c's parameters only ever meet the rows labelled c, so each Adam
+    step evaluates and differentiates each class's mixture on its own rows,
+    in numpy through `_class_vjp`, with no tape.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("mle_fit: expects a (n, dim) feature matrix")
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != z.shape[:1]:
+        raise ValueError("mle_fit: expects one label per feature row")
+    if np.any(labels < 0) or np.any(labels >= n_classes):
+        raise ValueError("mle_fit: label out of range")
     r = z.shape[1]
     counts = np.bincount(labels, minlength=n_classes)
-    if counts.size > n_classes:
-        raise ValueError("mle_fit: label out of range")
-    if np.any(counts < n_components):
-        raise ValueError("mle_fit: every class needs at least n_components samples")
+    short = np.flatnonzero(counts < n_components)
+    if short.size:
+        c = int(short[0])
+        raise ValueError(f"mle_fit: every class needs at least n_components={n_components} "
+                         f"samples; class {c} has {int(counts[c])}")
 
     if init is None:
         m = mixture_init(n_classes, n_components, r, seed)
@@ -310,13 +339,39 @@ def mle_fit(z, labels, n_classes: int, n_components: int, steps: int, seed: int,
                     weight_logits=init.weight_logits.copy(), class_priors=init.class_priors.copy())
     m = fit_priors(m, labels)
 
+    z_own = [np.ascontiguousarray(z[labels == c]) for c in range(n_classes)]
+    g_sums = _own_row_gradient_sums(labels, n_classes)
     state = optim.AdamState()
     for _ in range(steps):
-        tape = ad.Tape()
-        pnodes = make_mixture_nodes(tape, m)
-        dens = density_nodes(tape, pnodes, m, tape.constant(z), labels)
-        grads = ad.backward(ad.neg(ad.mean_all(dens.cond_own)), list(pnodes.values()))
-        tape.release()
-        grad_dict = {name: grads[node] for name, node in pnodes.items()}
-        set_mixture_param_arrays(m, optim.adam_step(mixture_param_arrays(m), grad_dict, state, lr))
+        grads = _own_rows_grads(m, z_own, g_sums)
+        set_mixture_param_arrays(m, optim.adam_step(mixture_param_arrays(m), grads, state, lr))
     return m
+
+
+def _own_row_gradient_sums(labels: np.ndarray, n_classes: int) -> list:
+    """Per class, the sum of d(-mean_i log q(z_i | y_i)) / d log q(z_i | c),
+    which is -1/N on each of the class's rows.  It is summed down the full
+    (N, C) column, as a backward pass through the whole density matrix sums
+    it, so a fit keeps that rounding bit for bit."""
+    n = len(labels)
+    own = np.zeros((n, n_classes))
+    own[np.arange(n), labels] = -(1.0 / n)
+    return [own[:, c].sum() for c in range(n_classes)]
+
+
+def _own_rows_grads(m: ClassConditionalMixture, z_own: list, g_sums: list) -> dict[str, np.ndarray]:
+    """Gradients of -mean_i log q(z_i | y_i) in the three trainable tensors,
+    each class's mixture evaluated on its own rows z_own[c] only."""
+    n = sum(len(z_c) for z_c in z_own)
+    log_w = _log_weights(m.weight_logits)
+    l_fac, inv, sumlog = _factors(m.chol_raw)
+    d_means = np.empty_like(m.means)
+    d_raw = np.empty_like(m.chol_raw)
+    d_logits = np.empty_like(m.weight_logits)
+    for c, z_c in enumerate(z_own):
+        y, comp = _class_terms(m.means[c], inv[c], sumlog[c], z_c)
+        out_c = _logsumexp_rows(comp + log_w[c])
+        _, d_means[c], d_raw[c], d_logits[c] = _class_vjp(
+            l_fac[c], inv[c], m.chol_raw[c], log_w[c], y, comp, out_c,
+            np.full(len(z_c), -(1.0 / n)), g_sums[c], need_z=False)
+    return {"mix_means": d_means, "mix_chol_raw": d_raw, "mix_weight_logits": d_logits}

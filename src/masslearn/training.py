@@ -35,6 +35,8 @@ from . import rng as rngmod
 from .checkpoint import Checkpoint
 
 CURVE_HEADER = "step,cond_entropy,entropy,neg_log_jacobian,train_acc,test_acc"
+# a softmaxce curve row fits its mixture to the features of this many leading training rows
+CURVE_FIT_ROWS = 2000
 
 
 @dataclass
@@ -221,6 +223,21 @@ def _eval_terms(net_params, mixture, x, y, z, cfg: TrainConfig):
     return cond_term, ent_term, float(log_dets.mean()), violations
 
 
+def check_curve_fit_counts(labels: np.ndarray, n_classes: int, cfg: TrainConfig) -> None:
+    """A softmaxce run writes curve rows by fitting mixture_components per
+    class with mle_fit to the first CURVE_FIT_ROWS training rows; raise
+    ValueError, naming the class, if some class has fewer rows there."""
+    if cfg.method != "softmaxce" or cfg.steps == 0:
+        return
+    counts = np.bincount(labels[:CURVE_FIT_ROWS], minlength=n_classes)
+    short = np.flatnonzero(counts < cfg.mixture_components)
+    if short.size:
+        c = int(short[0])
+        raise ValueError(f"softmaxce: class {c} has {int(counts[c])} of the first "
+                         f"{min(len(labels), CURVE_FIT_ROWS)} training rows, fewer than "
+                         f"mixture_components={cfg.mixture_components} for the curve-row mixture fit")
+
+
 def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
           net_config: net.MlpConfig, cfg: TrainConfig) -> TrainResult:
     """Train a classifier; deterministic in cfg.seed.
@@ -235,6 +252,7 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
         raise ValueError("softmaxce: network output_dim must equal the class count")
     if cfg.method == "mass" and net_config.output_dim > net_config.input_dim:
         raise ValueError("mass: output_dim must not exceed input_dim (Jacobian term)")
+    check_curve_fit_counts(train_ds.labels, n_classes, cfg)
     if cfg.subsample_jacobian and cfg.batch_size < net_config.output_dim:
         warnings.warn("batch_size below output_dim: the subsampled J term averages a single sample")
 
@@ -275,7 +293,7 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
         if cfg.method == "mass":
             eval_mix = mixture
         else:
-            cap = min(train_ds.n, 2000)
+            cap = min(train_ds.n, CURVE_FIT_ROWS)
             fit_steps = 150 if fitted_eval_mix is None else 50
             fitted_eval_mix = mx.mle_fit(train_z[:cap], train_y[:cap], n_classes,
                                          cfg.mixture_components, steps=fit_steps,

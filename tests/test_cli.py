@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from masslearn import cli
 from masslearn import data as datamod
@@ -50,6 +51,54 @@ def test_resolve_config_rejects_unknown_and_missing():
     resolved = cli.resolve_config({"dataset": "blobs:", "beta": "0.5"}, cli.TRAIN_SCHEMA)
     assert resolved["beta"] == 0.5
     assert resolved["steps"] == 1000  # default filled in
+
+
+# a value survives the parser if it holds no '#' (which starts a comment),
+# stays on one line and has no surrounding whitespace (which is stripped)
+_VALUE_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#"),
+                      max_size=12).map(str.strip)
+_TYPED_VALUES = {
+    "int": st.integers(-10**12, 10**12),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    "str": _VALUE_TEXT,
+}
+_TRAIN_CONFIGS = st.fixed_dictionaries(
+    {key: _TYPED_VALUES[kind] for key, (_, kind) in cli.TRAIN_SCHEMA.items()})
+_COMMENT_LINES = st.one_of(st.just(""), st.just("   "),
+                           _VALUE_TEXT.map(lambda text: "# " + text),
+                           _VALUE_TEXT.map(lambda text: "  #" + text + "#"))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None,
+          max_examples=40)
+@given(resolved=_TRAIN_CONFIGS, data=st.data())
+def test_config_echo_reparses_to_the_same_values(tmp_path, resolved, data):
+    cli.write_config_echo(str(tmp_path), "train", resolved)
+    lines = (tmp_path / "config.echo").read_text().splitlines()
+    assert cli.resolve_config(cli.parse_kv_text("\n".join(lines)), cli.TRAIN_SCHEMA) == resolved
+
+    # comment and blank lines anywhere, and trailing comments, change nothing
+    noisy = []
+    for line in lines:
+        noisy += data.draw(st.lists(_COMMENT_LINES, max_size=2))
+        noisy.append(line + data.draw(st.sampled_from(["", " # note", "#"])))
+    parsed = cli.parse_kv_text("\n".join(noisy))
+    assert cli.resolve_config(parsed, cli.TRAIN_SCHEMA) == resolved
+
+    # a repeated key is rejected at the line that repeats it
+    repeated = data.draw(st.sampled_from(sorted(parsed)))
+    first = next(i for i, line in enumerate(noisy) if line.startswith(repeated + "="))
+    at = data.draw(st.integers(first + 1, len(noisy)))
+    dup = noisy[:at] + [f"{repeated}=1"] + noisy[at:]
+    with pytest.raises(cli.ConfigError, match=f"^<config>:{at + 1}: duplicate key '{repeated}'$"):
+        cli.parse_kv_text("\n".join(dup))
+
+    # a key outside the schema is rejected by name
+    unknown = data.draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(
+        lambda key: key not in cli.TRAIN_SCHEMA))
+    with pytest.raises(cli.ConfigError, match=f"unknown config key '{unknown}'"):
+        cli.resolve_config(cli.parse_kv_text("\n".join(noisy + [f"{unknown}=1"])), cli.TRAIN_SCHEMA)
 
 
 def test_train_writes_artifacts(tmp_path, capsys):
@@ -122,6 +171,31 @@ def test_non_finite_features_are_exit_2_and_name_the_row(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "dataset: non-finite feature in row 3" in err
+
+
+def test_softmaxce_class_too_small_for_the_curve_fit_is_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "small.cfg",
+                 "dataset=blobs:n=27,classes=3,dim=4,seed=1\nmethod=softmaxce\nhidden=6\n"
+                 "steps=5\neval_interval=5\nbatch_size=9\n")
+    out = tmp_path / "o"
+    rc = cli.main(["train", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: softmaxce: class 0 has 9 of the first 27 training rows")
+    assert "mixture_components=10" in err
+    assert not (out / "model.ckpt").exists()
+
+
+def test_malformed_container_files_are_exit_2(tmp_path, capsys):
+    header = b"[]"
+    path = tmp_path / "list_header.bin"
+    path.write_bytes(b"MASSCON1" + len(header).to_bytes(8, "little") + header)
+    train_cfg = _write(tmp_path / "train.cfg", f"dataset=cache:{path}\nrepresentation_dim=2\n")
+    assert cli.main(["train", "--config", train_cfg, "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith("config error: dataset: ")
+    eval_cfg = _write(tmp_path / "eval.cfg", f"checkpoint={path}\ndataset={BLOBS}\n")
+    assert cli.main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err.startswith("config error: checkpoint: ")
 
 
 def test_mass_beta_zero_and_softmaxce_both_run(tmp_path):

@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from masslearn import checkpoint as ckpt_mod
+from masslearn import container
 from masslearn import data
 from masslearn import mixtures as mx
 from masslearn import network as net
@@ -184,3 +189,75 @@ def test_container_rejects_garbage(tmp_path):
     p.write_bytes(b"not a container at all")
     with pytest.raises(Exception, match="magic"):
         ckpt_mod.load_checkpoint(p)
+
+
+_shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+_arrays = st.one_of(hnp.arrays(np.float64, _shapes), hnp.arrays(np.int64, _shapes))
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.text(),
+                          st.floats(allow_nan=False))
+_meta = st.dictionaries(st.text(), st.recursive(
+    _json_scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8), max_size=4)
+_fixture_ok = settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+
+
+@_fixture_ok
+@given(meta=_meta, arrays=st.dictionaries(st.text(), _arrays, max_size=4))
+def test_container_roundtrip_is_bit_exact(tmp_path, meta, arrays):
+    path = tmp_path / "c.bin"
+    container.write_container(path, meta, arrays)
+    meta_back, arrays_back = container.read_container(path)
+    assert meta_back == meta
+    assert list(arrays_back) == list(arrays)
+    for name, arr in arrays.items():
+        back = arrays_back[name]
+        assert back.dtype == arr.dtype and back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()
+
+
+@settings(_fixture_ok, max_examples=30)
+@given(meta=st.dictionaries(st.text(max_size=3), _json_scalars, max_size=3),
+       arrays=st.dictionaries(st.text(max_size=3), _arrays, max_size=3))
+def test_every_strict_prefix_of_a_container_is_rejected(tmp_path, meta, arrays):
+    path = tmp_path / "c.bin"
+    container.write_container(path, meta, arrays)
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(container.ContainerError):
+            container.read_container(path)
+
+
+def _raw_container(header) -> bytes:
+    text = json.dumps(header).encode("utf-8")
+    return container.MAGIC + len(text).to_bytes(8, "little") + text + bytes(8)
+
+
+@pytest.mark.parametrize("header", [
+    [],
+    {"meta": {}},
+    {"meta": [], "arrays": []},
+    {"meta": {}, "arrays": {}},
+    {"meta": {}, "arrays": [[]]},
+    {"meta": {}, "arrays": [{"name": "a", "dtype": "<f4", "shape": [1], "offset": 0, "nbytes": 4}]},
+    {"meta": {}, "arrays": [{"name": "a", "dtype": "<f8", "shape": [2], "offset": 0, "nbytes": 8}]},
+    {"meta": {}, "arrays": [{"name": "a", "dtype": "<i8", "shape": [-1], "offset": 0, "nbytes": 8}]},
+    {"meta": {}, "arrays": [{"name": "a", "dtype": "<i8", "shape": [1.0], "offset": 0, "nbytes": 8}]},
+    {"meta": {}, "arrays": [{"name": "a", "dtype": "<i8", "shape": [1], "offset": -8, "nbytes": 8}]},
+    {"meta": {}, "arrays": [{"name": 1, "dtype": "<i8", "shape": [1], "offset": 0, "nbytes": 8}]},
+])
+def test_malformed_container_header_is_a_container_error(tmp_path, header):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_raw_container(header))
+    with pytest.raises(container.ContainerError):
+        container.read_container(path)
+
+
+def test_well_formed_raw_container_reads(tmp_path):
+    # the builder above makes a readable file once its header is well formed
+    path = tmp_path / "good.bin"
+    path.write_bytes(_raw_container(
+        {"meta": {"k": 1}, "arrays": [{"name": "a", "dtype": "<i8", "shape": [1], "offset": 0, "nbytes": 8}]}))
+    meta, arrays = container.read_container(path)
+    assert meta == {"k": 1}
+    assert arrays["a"].tolist() == [0]

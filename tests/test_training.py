@@ -549,6 +549,32 @@ def test_train_validates_shapes():
         tr.TrainConfig(optimizer="lbfgs").validate()
 
 
+def test_softmaxce_curve_fit_class_counts_checked_before_step_one(monkeypatch):
+    train, _ = datamod.gaussian_blobs(27, 3, 4, 4.0, 1)  # 9 rows per class
+    cfg_net = net.MlpConfig(input_dim=4, hidden_dims=(6,), output_dim=3)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(tr, "softmaxce_minibatch_loss", no_step)
+    cfg = tr.TrainConfig(method="softmaxce", steps=5, eval_interval=5, batch_size=9, seed=0)
+    assert cfg.mixture_components == 10
+    with pytest.raises(ValueError, match="class 0 has 9 of the first 27 training rows, "
+                                         "fewer than mixture_components=10"):
+        tr.train(train, None, cfg_net, cfg)
+    # a zero-step run writes no curve row, so it fits no mixture
+    tr.train(train, None, cfg_net, tr.TrainConfig(method="softmaxce", steps=0))
+
+
+def test_curve_fit_class_counts_read_the_fitted_rows_only():
+    labels = np.concatenate([np.arange(tr.CURVE_FIT_ROWS) % 2, np.full(20, 2)])
+    cfg = tr.TrainConfig(method="softmaxce", steps=1, mixture_components=10)
+    with pytest.raises(ValueError, match=f"class 2 has 0 of the first {tr.CURVE_FIT_ROWS}"):
+        tr.check_curve_fit_counts(labels, 3, cfg)
+    tr.check_curve_fit_counts(labels[-40:], 3, cfg)
+    tr.check_curve_fit_counts(labels, 3, tr.TrainConfig(method="mass", steps=1))
+
+
 def test_small_batch_warning():
     train, _ = _blob_split(30, 6, seed=8)
     cfg_net = net.MlpConfig(input_dim=4, hidden_dims=(), output_dim=3)
