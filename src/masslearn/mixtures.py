@@ -157,7 +157,6 @@ def _class_vjp(l_fac_c, inv_c, raw_c, log_w_c, y, comp, out_c, g_c, g_sum, need_
     against L^-1 stacked as (K r, r), dmu is (sum h y) L^-1, and
     dL = L^-T (h y)^T y is one batched matmul over K."""
     n_comp, r = inv_c.shape[:2]
-    idx = np.arange(r)
     h = g_c[:, None] * np.exp(comp + log_w_c - out_c[:, None])                # (N, K)
     hy = y * h[:, :, None]                                                   # (N, K, r)
     d_z = None
@@ -167,8 +166,9 @@ def _class_vjp(l_fac_c, inv_c, raw_c, log_w_c, y, comp, out_c, g_c, g_sum, need_
     d_means = (hy.sum(axis=0)[:, None, :] @ inv_c)[:, 0, :]
     h_sum = h.sum(axis=0)
     d_l = np.tril(np.swapaxes(inv_c, 1, 2) @ (hy.transpose(1, 2, 0) @ y.transpose(1, 0, 2)))
-    d_l[:, idx, idx] -= h_sum[:, None] / l_fac_c[:, idx, idx]
-    d_l[:, idx, idx] *= expit(raw_c[:, idx, idx])
+    diag = d_l.reshape(n_comp, r * r)[:, ::r + 1]  # a writable view of the K diagonals
+    diag -= h_sum[:, None] / np.diagonal(l_fac_c, axis1=1, axis2=2)
+    diag *= expit(np.diagonal(raw_c, axis1=1, axis2=2))
     return d_z, d_means, d_l, h_sum - np.exp(log_w_c) * g_sum
 
 
@@ -302,18 +302,14 @@ def mle_fit(z, labels, n_classes: int, n_components: int, steps: int, seed: int,
 
     Means start at the class sample mean plus a seeded jitter (symmetry
     breaking for K > 1), Cholesky diagonals at the per-dimension std.  Priors
-    are set to empirical frequencies.  Deterministic in seed.
-
-    Class c's parameters only ever meet the rows labelled c, so each Adam
-    step evaluates and differentiates each class's mixture on its own rows,
-    in numpy through `_class_vjp`, with no tape.
+    are set to empirical frequencies.  Deterministic in seed.  Class c's
+    parameters only ever meet the rows labelled c, so each Adam step works on
+    each class's own rows (`_own_rows_grads`), with no tape.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("mle_fit: expects a (n, dim) feature matrix")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != z.shape[:1]:
-        raise ValueError("mle_fit: expects one label per feature row")
     if np.any(labels < 0) or np.any(labels >= n_classes):
         raise ValueError("mle_fit: label out of range")
     r = z.shape[1]

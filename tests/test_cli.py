@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from masslearn import cli
+from masslearn import container
 from masslearn import data as datamod
 from masslearn import metrics
 from masslearn import training as tr
@@ -196,6 +197,10 @@ def test_malformed_container_files_are_exit_2(tmp_path, capsys):
     eval_cfg = _write(tmp_path / "eval.cfg", f"checkpoint={path}\ndataset={BLOBS}\n")
     assert cli.main(["eval", "--config", eval_cfg, "--out", str(tmp_path / "e")]) == 2
     assert capsys.readouterr().err.startswith("config error: checkpoint: ")
+    # a well-formed container whose dataset metadata lacks a key
+    container.write_container(path, {"kind": "dataset"}, {})
+    assert cli.main(["train", "--config", train_cfg, "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith("config error: dataset: ")
 
 
 def test_mass_beta_zero_and_softmaxce_both_run(tmp_path):
