@@ -215,94 +215,6 @@ def test_mle_fit_names_the_short_class():
         mx.mle_fit(z, labels, 3, 3, steps=1, seed=0)
 
 
-# Reference fit: -mean_i log q(z_i | y_i) through the full (N, C) density
-# node on a tape, as mle_fit computed its gradients before it moved onto
-# each class's own rows.
-
-
-def _tape_fit_grads(m, z, labels):
-    tape = ad.Tape()
-    pnodes = mx.make_mixture_nodes(tape, m)
-    dens = mx.density_nodes(tape, pnodes, m, tape.constant(z), labels)
-    grads = ad.backward(ad.neg(ad.mean_all(dens.cond_own)), list(pnodes.values()))
-    tape.release()
-    return {name: grads[node] for name, node in pnodes.items()}
-
-
-def _tape_fit(z, labels, n_classes, n_components, steps, seed, lr):
-    m = mx.mle_fit(z, labels, n_classes, n_components, steps=0, seed=seed)
-    state = optim.AdamState()
-    for _ in range(steps):
-        grads = _tape_fit_grads(m, z, labels)
-        mx.set_mixture_param_arrays(m, optim.adam_step(mx.mixture_param_arrays(m), grads, state, lr))
-    return m
-
-
-@st.composite
-def _labelled_points(draw):
-    n_classes = draw(st.integers(1, 4))
-    n_components = draw(st.integers(1, 3))
-    r = draw(st.integers(1, 4))
-    # unbalanced classes, and some class at exactly n_components rows
-    counts = [draw(st.integers(n_components, n_components + 25)) for _ in range(n_classes)]
-    counts[draw(st.integers(0, n_classes - 1))] = n_components
-    gen = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    labels = gen.permutation(np.repeat(np.arange(n_classes), counts))
-    z = gen.normal(size=(len(labels), r)) * 1.5 + 2.0 * labels[:, None]
-    return z, labels, n_components, gen
-
-
-def _max_rel_error(got: dict, want: dict) -> float:
-    # relative to the largest entry of all the tensors together: the weight
-    # logit gradient of a one-component class is zero up to round-off
-    scale = max(np.abs(arr).max() for arr in want.values())
-    return max(np.abs(got[name] - arr).max() for name, arr in want.items()) / scale
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=_labelled_points())
-def test_own_rows_gradients_match_the_tape(case):
-    z, labels, n_components, gen = case
-    n_classes, r = labels.max() + 1, z.shape[1]
-    m = mx.mixture_init(n_classes, n_components, r, seed=0)
-    m.means, m.chol_raw, m.weight_logits = _random_head(gen, n_classes, n_components, r)
-    m.means += 2.0 * np.arange(n_classes)[:, None, None]
-    z_own = [z[labels == c] for c in range(n_classes)]
-    got = mx._own_rows_grads(m, z_own, mx._own_row_gradient_sums(labels, n_classes))
-    assert _max_rel_error(got, _tape_fit_grads(m, z, labels)) <= 1e-12
-
-
-@settings(max_examples=15, deadline=None)
-@given(case=_labelled_points())
-def test_mle_fit_matches_the_tape_fit(case):
-    z, labels, n_components, _ = case
-    n_classes = labels.max() + 1
-    got = mx.mle_fit(z, labels, n_classes, n_components, steps=20, seed=2, lr=0.05)
-    want = _tape_fit(z, labels, n_classes, n_components, steps=20, seed=2, lr=0.05)
-
-    def fitted(m):
-        # log weights, not logits: a one-component class's logit only ever
-        # moves by Adam steps on a gradient that is round-off
-        return {"means": m.means, "chol_raw": m.chol_raw, "log_w": mx._log_weights(m.weight_logits)}
-
-    # Adam divides each step by the gradient's running scale, so round-off
-    # grows a little over the 20 steps
-    assert _max_rel_error(fitted(got), fitted(want)) <= 1e-10
-    np.testing.assert_array_equal(got.class_priors, want.class_priors)
-
-
-def test_mle_fit_builds_no_tape(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("mle_fit used the autodiff tape")
-
-    monkeypatch.setattr(ad, "Tape", refuse)
-    monkeypatch.setattr(ad, "backward", refuse)
-    gen = np.random.default_rng(4)
-    z, labels = gen.normal(size=(30, 3)), np.arange(30) % 3
-    m = mx.mle_fit(z, labels, 3, 2, steps=5, seed=0)
-    assert np.all(np.isfinite(m.means))
-
-
 # Reference head: whitening by one triangular solve per component, as the
 # head computed before it moved onto precomputed inverse factors.
 
@@ -418,3 +330,91 @@ def test_constant_points_get_no_gradient():
         got = ad.backward(ad.sum_all(dens.cond_own), list(pnodes.values()))
         grads[z_is_leaf] = [got[node].tobytes() for node in pnodes.values()]
     assert grads[True] == grads[False]
+
+
+# Reference fit: -mean_i log q(z_i | y_i) through the full (N, C) density
+# node on a tape, as mle_fit computed its gradients before it moved onto
+# each class's own rows.
+
+
+def _tape_fit_grads(m, z, labels):
+    tape = ad.Tape()
+    pnodes = mx.make_mixture_nodes(tape, m)
+    dens = mx.density_nodes(tape, pnodes, m, tape.constant(z), labels)
+    grads = ad.backward(ad.neg(ad.mean_all(dens.cond_own)), list(pnodes.values()))
+    tape.release()
+    return {name: grads[node] for name, node in pnodes.items()}
+
+
+def _tape_fit(z, labels, n_classes, n_components, steps, seed, lr):
+    m = mx.mle_fit(z, labels, n_classes, n_components, steps=0, seed=seed)
+    state = optim.AdamState()
+    for _ in range(steps):
+        grads = _tape_fit_grads(m, z, labels)
+        mx.set_mixture_param_arrays(m, optim.adam_step(mx.mixture_param_arrays(m), grads, state, lr))
+    return m
+
+
+@st.composite
+def _labelled_points(draw):
+    n_classes = draw(st.integers(1, 4))
+    n_components = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 4))
+    # unbalanced classes, and some class at exactly n_components rows
+    counts = [draw(st.integers(n_components, n_components + 25)) for _ in range(n_classes)]
+    counts[draw(st.integers(0, n_classes - 1))] = n_components
+    gen = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    labels = gen.permutation(np.repeat(np.arange(n_classes), counts))
+    z = gen.normal(size=(len(labels), r)) * 1.5 + 2.0 * labels[:, None]
+    return z, labels, n_components, gen
+
+
+def _max_rel_error(got: dict, want: dict) -> float:
+    # relative to the largest entry of all the tensors together: the weight
+    # logit gradient of a one-component class is zero up to round-off
+    scale = max(np.abs(arr).max() for arr in want.values())
+    return max(np.abs(got[name] - arr).max() for name, arr in want.items()) / scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_labelled_points())
+def test_own_rows_gradients_match_the_tape(case):
+    z, labels, n_components, gen = case
+    n_classes, r = labels.max() + 1, z.shape[1]
+    m = mx.mixture_init(n_classes, n_components, r, seed=0)
+    m.means, m.chol_raw, m.weight_logits = _random_head(gen, n_classes, n_components, r)
+    m.means += 2.0 * np.arange(n_classes)[:, None, None]
+    z_own = [z[labels == c] for c in range(n_classes)]
+    got = mx._own_rows_grads(m, z_own, mx._own_row_gradient_sums(labels, n_classes))
+    assert _max_rel_error(got, _tape_fit_grads(m, z, labels)) <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=_labelled_points())
+def test_mle_fit_matches_the_tape_fit(case):
+    z, labels, n_components, _ = case
+    n_classes = labels.max() + 1
+    got = mx.mle_fit(z, labels, n_classes, n_components, steps=20, seed=2, lr=0.05)
+    want = _tape_fit(z, labels, n_classes, n_components, steps=20, seed=2, lr=0.05)
+
+    def fitted(m):
+        # log weights, not logits: a one-component class's logit only ever
+        # moves by Adam steps on a gradient that is round-off
+        return {"means": m.means, "chol_raw": m.chol_raw, "log_w": mx._log_weights(m.weight_logits)}
+
+    # Adam divides each step by the gradient's running scale, so round-off
+    # grows a little over the 20 steps
+    assert _max_rel_error(fitted(got), fitted(want)) <= 1e-10
+    np.testing.assert_array_equal(got.class_priors, want.class_priors)
+
+
+def test_mle_fit_builds_no_tape(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mle_fit used the autodiff tape")
+
+    monkeypatch.setattr(ad, "Tape", refuse)
+    monkeypatch.setattr(ad, "backward", refuse)
+    gen = np.random.default_rng(4)
+    z, labels = gen.normal(size=(30, 3)), np.arange(30) % 3
+    m = mx.mle_fit(z, labels, 3, 2, steps=5, seed=0)
+    assert np.all(np.isfinite(m.means))
