@@ -10,7 +10,7 @@ needs none, such as a constant operand of matmul), computed in numpy, and the
 sweep appends nothing to the tape.  Larger pieces are one `first_order` node
 each, with closed-form numpy value and VJP: a hidden block of the network, its
 batch statistics and Jacobian scale (`network.forward_nodes`), the input
-Jacobian's log-volume (`network.log_jacobian_nodes`), the mixture densities
+Jacobian's log-volume (`network.volume_node`), the mixture densities
 (`mixtures.density_nodes`) and `logsumexp_rows`.
 
 The other ops are those the package uses: add, sub, mul, neg, matmul, dot,

@@ -5,7 +5,8 @@ config and weights (including batchnorm running statistics), the variational
 mixture when the method has one, the training-set normalization statistics,
 and the method tag.  Files use the MASSCON1 container (see container.py);
 array field order is the insertion order written below and round trips are
-bit-exact.
+bit-exact.  Loading checks each metadata field's type and each array's shape
+against the config, and names the first one that is wrong.
 """
 
 from __future__ import annotations
@@ -72,38 +73,102 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     container.write_container(path, meta, arrays)
 
 
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+          dict: "an object", list: "a list"}
+
+
+def _field(path, meta: dict, key: str, kind: type, prefix: str = ""):
+    """meta[key] if it has JSON type `kind` (an integer passes as a number);
+    ContainerError naming the field otherwise."""
+    name = prefix + key
+    if key not in meta:
+        raise container.ContainerError(f"{path}: missing field {name!r}")
+    value = meta[key]
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise container.ContainerError(
+            f"{path}: field {name!r} must be {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _array(path, arrays: dict, name: str, shape: tuple) -> np.ndarray:
+    if name not in arrays:
+        raise container.ContainerError(f"{path}: missing array {name!r}")
+    arr = arrays[name]
+    if arr.dtype != np.float64 or arr.shape != shape:
+        raise container.ContainerError(f"{path}: array {name!r} is {arr.dtype} {arr.shape}, "
+                                       f"expected float64 {shape}")
+    return arr
+
+
+def _mlp_config(path, meta: dict) -> MlpConfig:
+    c = _field(path, meta, "mlp_config", dict)
+    get = lambda key, kind: _field(path, c, key, kind, "mlp_config.")
+    hidden = get("hidden_dims", list)
+    if any(type(h) is not int for h in hidden):
+        raise container.ContainerError(f"{path}: field 'mlp_config.hidden_dims' must be a list "
+                                       "of integers")
+    fields = dict(input_dim=get("input_dim", int), hidden_dims=tuple(hidden),
+                  output_dim=get("output_dim", int), nonlinearity=get("nonlinearity", str),
+                  dropout_rate=get("dropout_rate", float), use_batchnorm=get("use_batchnorm", bool))
+    try:
+        return MlpConfig(**fields)
+    except ValueError as e:
+        raise container.ContainerError(f"{path}: field 'mlp_config': {e}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at path; ContainerError, naming the field or array, for
+    a malformed file or metadata of the wrong type, and for an array whose
+    shape does not match the config."""
     meta, arrays = container.read_container(path)
     if meta.get("kind") != "checkpoint":
         raise container.ContainerError(f"{path}: not a checkpoint")
     if meta.get("version") != FORMAT_VERSION:
         raise container.ContainerError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-    c = meta["mlp_config"]
-    cfg = MlpConfig(input_dim=c["input_dim"], hidden_dims=tuple(c["hidden_dims"]),
-                    output_dim=c["output_dim"], nonlinearity=c["nonlinearity"],
-                    dropout_rate=c["dropout_rate"], use_batchnorm=c["use_batchnorm"])
-    n_layers = len(cfg.hidden_dims) + 1
-    weights = [arrays[f"net_w{li}"] for li in range(n_layers)]
-    biases = [arrays[f"net_b{li}"] for li in range(n_layers)]
-    bn_scale, bn_shift, bn_mean, bn_var = [], [], [], []
-    if cfg.use_batchnorm:
-        for li in range(len(cfg.hidden_dims)):
-            bn_scale.append(arrays[f"net_bn_scale{li}"])
-            bn_shift.append(arrays[f"net_bn_shift{li}"])
-            bn_mean.append(arrays[f"net_bn_mean{li}"])
-            bn_var.append(arrays[f"net_bn_var{li}"])
-    net = MlpParams(cfg, weights, biases, bn_scale, bn_shift, bn_mean, bn_var)
+    method = _field(path, meta, "method", str)
+    n_classes = _field(path, meta, "n_classes", int)
+    steps_trained = _field(path, meta, "steps_trained", int)
+    has_mixture = _field(path, meta, "has_mixture", bool)
+    has_norm = _field(path, meta, "has_norm", bool)
+    if method not in ("mass", "softmaxce"):
+        raise container.ContainerError(f"{path}: field 'method' must be mass or softmaxce, "
+                                       f"got {method!r}")
+    for key, low in (("n_classes", 1), ("steps_trained", 0)):
+        if meta[key] < low:
+            raise container.ContainerError(f"{path}: field {key!r} must be at least {low}")
+    if method == "mass" and not has_mixture:
+        raise container.ContainerError(f"{path}: field 'has_mixture' is false for a mass checkpoint")
+    cfg = _mlp_config(path, meta)
+    if method == "softmaxce" and cfg.output_dim != n_classes:
+        raise container.ContainerError(f"{path}: field 'n_classes' is {n_classes} for "
+                                       f"{cfg.output_dim} softmax outputs")
+    dims = cfg.layer_dims
+    weights = [_array(path, arrays, f"net_w{li}", (dims[li + 1], dims[li]))
+               for li in range(len(dims) - 1)]
+    biases = [_array(path, arrays, f"net_b{li}", (dims[li + 1],)) for li in range(len(dims) - 1)]
+    bn = [[_array(path, arrays, f"net_bn_{key}{li}", (h,)) for li, h in enumerate(cfg.hidden_dims)]
+          if cfg.use_batchnorm else [] for key in ("scale", "shift", "mean", "var")]
+    net = MlpParams(cfg, weights, biases, *bn)
 
     mixture = None
-    if meta["has_mixture"]:
-        mm = meta["mixture"]
+    if has_mixture:
+        mm = _field(path, meta, "mixture", dict)
+        get = lambda key: _field(path, mm, key, int, "mixture.")
+        c, k, r = get("n_classes"), get("n_components"), get("dim")
+        if c != n_classes or r != cfg.output_dim or k < 1:
+            raise container.ContainerError(
+                f"{path}: field 'mixture' has (n_classes, n_components, dim) = ({c}, {k}, {r}) "
+                f"for a model of {n_classes} classes and output_dim {cfg.output_dim}")
         mixture = ClassConditionalMixture(
-            n_classes=mm["n_classes"], n_components=mm["n_components"], dim=mm["dim"],
-            means=arrays["mix_means"], chol_raw=arrays["mix_chol_raw"],
-            weight_logits=arrays["mix_weight_logits"], class_priors=arrays["mix_class_priors"],
+            n_classes=c, n_components=k, dim=r,
+            means=_array(path, arrays, "mix_means", (c, k, r)),
+            chol_raw=_array(path, arrays, "mix_chol_raw", (c, k, r, r)),
+            weight_logits=_array(path, arrays, "mix_weight_logits", (c, k)),
+            class_priors=_array(path, arrays, "mix_class_priors", (c,)),
         )
     norm = None
-    if meta["has_norm"]:
-        norm = NormStats(mean=arrays["norm_mean"], std=arrays["norm_std"])
-    return Checkpoint(method=meta["method"], net=net, mixture=mixture, norm=norm,
-                      n_classes=meta["n_classes"], steps_trained=meta["steps_trained"])
+    if has_norm:
+        norm = NormStats(mean=_array(path, arrays, "norm_mean", (cfg.input_dim,)),
+                         std=_array(path, arrays, "norm_std", (cfg.input_dim,)))
+    return Checkpoint(method=method, net=net, mixture=mixture, norm=norm,
+                      n_classes=n_classes, steps_trained=steps_trained)

@@ -261,7 +261,6 @@ def make_mixture_nodes(tape: ad.Tape, m: ClassConditionalMixture) -> dict[str, a
 class DensityNodes(NamedTuple):
     class_cond: ad.Node    # (N, C) log q(z | c)
     marginal: ad.Node      # (N,)  log q(z)
-    cond_own: ad.Node      # (N,)  log q(z_i | y_i)
     log_post_own: ad.Node  # (N,)  log q(y_i | z_i)
 
 
@@ -283,9 +282,8 @@ def density_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], m: ClassConditional
         log_priors = np.log(m.class_priors)
     scored = ad.add(class_cond, tape.constant(log_priors))
     marginal = ad.logsumexp_rows(scored)
-    cond_own = ad.take_per_row(class_cond, labels)
     log_post_own = ad.sub(ad.take_per_row(scored, labels), marginal)
-    return DensityNodes(class_cond, marginal, cond_own, log_post_own)
+    return DensityNodes(class_cond, marginal, log_post_own)
 
 
 # ---------------------------------------------------------------------------

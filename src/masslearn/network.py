@@ -12,9 +12,9 @@ s_l = invstd_l * bn_scale_l * elu'(u_l) * mask_l, read from its cache, so the
 input Jacobian of one sample is the chain product D = W_L S_{L-1} ... S_0 W_0.
 `jacobian_batch` builds it from the output side for a whole batch, and the
 volume term log J_f = 0.5 log det(D D^T + jitter I) of the training loss
-(`log_jacobian_nodes`) is one first-order node over the same product whose
-parents are the weights and the scale nodes.  `jacobian_matrix` is an
-independent reference built from reverse sweeps of the tape.
+(`volume_node`) is one first-order node over the same product, whose parents
+are the weights and the scale nodes of the loss's own network pass.
+`jacobian_matrix` is an independent reference from reverse tape sweeps.
 
 Batchnorm statistics are constants of the current batch when differentiating
 with respect to inputs (parameter gradients still flow through them), and
@@ -496,33 +496,39 @@ def _volume_vjp(weights, scales, lefts, jac, chol, g):
     return (*d_weights, *d_scales)
 
 
+def volume_node(pnodes: dict[str, ad.Node], params: MlpParams, scale_nodes: list[ad.Node],
+                rows: int, jitter: float) -> ad.Node:
+    """(rows,) node of 0.5 log det(D D^T + jitter I) for the first `rows` rows
+    of the scale nodes a `forward_nodes` pass appended.  Its parents are the
+    weights and those nodes; the tape carries its closed-form gradients (zero
+    past `rows`) on to biases, batchnorm parameters and statistics."""
+    _require_jacobian_shape(params.config)
+    weight_nodes = [pnodes[f"w{li}"] for li in range(len(params.weights))]
+    weights = [w.value for w in weight_nodes]
+    scales = [s.value[:rows] for s in scale_nodes]
+    jac, lefts = _chain_product(weights, scales, rows)
+    chol = _gram_cholesky(jac, jitter)
+
+    def vjp(g):
+        grads = _volume_vjp(weights, scales, lefts, jac, chol, g)
+        n_w = len(weights)
+        return (*grads[:n_w], *(np.pad(ds, ((0, len(s.value) - rows), (0, 0)))
+                                for ds, s in zip(grads[n_w:], scale_nodes)))
+
+    return ad.first_order((*weight_nodes, *scale_nodes), _half_logdet(chol), vjp, "log_jacobian")
+
+
 def log_jacobian_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], params: MlpParams,
                        x_leaf: ad.Node, jitter: float = JITTER_DEFAULT, mode: str = "train",
                        dropout_mask: DropoutMask | None = None, batch_stats=None) -> list[ad.Node]:
-    """Per-sample log J_f as tape nodes, differentiable with respect to weights.
-
-    forward_nodes on x_leaf gives the scales s_l as tape nodes; one
-    first-order node then holds all n values 0.5 log det(D D^T + jI) of the
-    chain product D and returns closed-form gradients in the weights and the
-    scales, from which the tape carries them on to biases, batchnorm
-    parameters and statistics.  Rows of the batch do not interact:
-    batchnorm statistics come from the main pass (batch_stats, as nodes or
-    arrays) or the running averages, and count as constants of x.  Returns
-    one scalar node per sample.
-    """
-    _require_jacobian_shape(params.config)
-    n = x_leaf.value.shape[0]
+    """Per-sample log J_f of x_leaf's rows, one scalar node each: a
+    `forward_nodes` pass (batchnorm statistics from batch_stats, as nodes or
+    arrays, or from the mode), its `volume_node`, and one `dot` per row."""
     scale_nodes: list[ad.Node] = []
     forward_nodes(tape, pnodes, params, x_leaf, mode, dropout_mask, batch_stats,
                   scales=scale_nodes)
-    weight_nodes = [pnodes[f"w{li}"] for li in range(len(params.weights))]
-    weights = [w.value for w in weight_nodes]
-    scales = [s.value for s in scale_nodes]
-    jac, lefts = _chain_product(weights, scales, n)
-    chol = _gram_cholesky(jac, jitter)
-    vol = ad.first_order(
-        (*weight_nodes, *scale_nodes), _half_logdet(chol),
-        lambda g: _volume_vjp(weights, scales, lefts, jac, chol, g), "log_jacobian")
+    n = x_leaf.value.shape[0]
+    vol = volume_node(pnodes, params, scale_nodes, n, jitter)
     return [ad.dot(vol, tape.constant(e)) for e in np.eye(n)]
 
 

@@ -12,7 +12,8 @@ the objective reduces to the posterior negative log-likelihood and the
 Jacobian is never computed.  The J term may be estimated on the first
 ceil(N/r) samples of the (already shuffled) batch; that subsampling is the
 documented estimator, and the reported jacobian_term is exactly the value
-used in the loss.
+used in the loss.  One network pass serves all three terms: the volume node
+reads the Jacobian scales of that pass's first rows.
 
 A cross-entropy baseline (`softmaxce`) trains the same network with
 mean -log softmax(logits)[y]; its curve rows are produced by fitting a
@@ -107,8 +108,10 @@ def mass_minibatch_loss(net_params: net.MlpParams, mixture: mx.ClassConditionalM
     pnodes = net.make_param_nodes(tape, net_params)
     mnodes = mx.make_mixture_nodes(tape, mixture)
 
-    out, stats = net.forward_nodes(tape, pnodes, net_params, tape.constant(x), mode="train",
-                                   dropout_mask=dropout_mask, update_running=update_running)
+    scales = [] if cfg.beta != 0.0 else None
+    out, _ = net.forward_nodes(tape, pnodes, net_params, tape.constant(x), mode="train",
+                               dropout_mask=dropout_mask, update_running=update_running,
+                               scales=scales)
     dens = mx.density_nodes(tape, mnodes, mixture, out, y)
     cond_term = ad.neg(ad.mean_all(dens.log_post_own))
     ent_term = ad.neg(ad.mean_all(dens.marginal))
@@ -116,14 +119,7 @@ def mass_minibatch_loss(net_params: net.MlpParams, mixture: mx.ClassConditionalM
     if cfg.beta != 0.0:
         r = net_params.config.output_dim
         n_sub = jacobian_subbatch_size(n, r) if cfg.subsample_jacobian else n
-        x_sub = tape.constant(x[:n_sub])
-        log_dets = net.log_jacobian_nodes(tape, pnodes, net_params, x_sub, jitter=cfg.jitter,
-                                          mode="train", dropout_mask=dropout_mask,
-                                          batch_stats=stats)
-        acc = log_dets[0]
-        for ld in log_dets[1:]:
-            acc = ad.add(acc, ld)
-        jac_term = ad.mul(1.0 / len(log_dets), acc)
+        jac_term = ad.mean_all(net.volume_node(pnodes, net_params, scales, n_sub, cfg.jitter))
         total = ad.add(cond_term, ad.sub(ad.mul(cfg.beta, ent_term), ad.mul(cfg.beta, jac_term)))
         jac_value = jac_term.item()
     else:

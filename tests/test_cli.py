@@ -5,12 +5,15 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from masslearn import checkpoint
 from masslearn import cli
 from masslearn import container
 from masslearn import data as datamod
 from masslearn import metrics
+from masslearn import mixtures as mx
+from masslearn import network as net
 from masslearn import training as tr
 from masslearn.checkpoint import load_checkpoint
 
@@ -201,6 +204,92 @@ def test_malformed_container_files_are_exit_2(tmp_path, capsys):
     container.write_container(path, {"kind": "dataset"}, {})
     assert cli.main(["train", "--config", train_cfg, "--out", str(tmp_path / "t")]) == 2
     assert capsys.readouterr().err.startswith("config error: dataset: ")
+
+
+# One edit of a valid checkpoint: a metadata field (a key path) removed or
+# set to a value of another JSON type, or an array removed, reshaped or
+# stored as int64.  eval and ood must then stop with exit 2 and name it.
+_CKPT_FIELDS = [("method",), ("n_classes",), ("steps_trained",), ("has_mixture",), ("has_norm",),
+                ("mlp_config",), ("mixture",), ("mlp_config", "hidden_dims", 0),
+                *[("mlp_config", key) for key in ("input_dim", "hidden_dims", "output_dim",
+                                                  "nonlinearity", "dropout_rate", "use_batchnorm")],
+                *[("mixture", key) for key in ("n_classes", "n_components", "dim")]]
+_CKPT_ARRAYS = ["net_w0", "net_b0", "net_w1", "net_b1", "net_bn_scale0", "net_bn_shift0",
+                "net_bn_mean0", "net_bn_var0", "mix_means", "mix_chol_raw", "mix_weight_logits",
+                "mix_class_priors", "norm_mean", "norm_std"]
+_CKPT_EDITS = st.one_of(
+    st.tuples(st.just("field"), st.sampled_from(_CKPT_FIELDS),
+              st.sampled_from(["missing", None, "3", 2.5, True, 4, [], ["a"], {"x": 1}])),
+    st.tuples(st.just("array"), st.sampled_from(_CKPT_ARRAYS),
+              st.sampled_from(["missing", "shape", "dtype"])))
+
+
+def _write_valid_checkpoint(path):
+    params = net.mlp_init(net.MlpConfig(4, (5,), 2, use_batchnorm=True), seed=0)
+    norm = datamod.NormStats(mean=np.zeros(4), std=np.ones(4))
+    checkpoint.save_checkpoint(path, checkpoint.Checkpoint(
+        method="mass", net=params, mixture=mx.mixture_init(3, 2, 2, seed=1), norm=norm,
+        n_classes=3, steps_trained=5))
+
+
+def _edit_checkpoint(path, edit):
+    """Apply one edit to the checkpoint at path; returns the name the error must carry."""
+    meta, arrays = container.read_container(path)
+    kind, where, change = edit
+    if kind == "array":
+        if change == "missing":
+            del arrays[where]
+        elif change == "shape":
+            arrays[where] = arrays[where][..., None]
+        else:
+            arrays[where] = arrays[where].astype(np.int64)
+        name = where
+    else:
+        *keys, last = where
+        holder = meta
+        for key in keys:
+            holder = holder[key]
+        old = holder[last]
+        if change == "missing" and type(last) is str:
+            del holder[last]
+        else:
+            # a value of the field's own JSON type (or an integer for a number) is no type error
+            assume(type(change) is not type(old) and not (type(old) is float and type(change) is int))
+            holder[last] = change
+        name = ".".join(k for k in where if type(k) is str)
+    container.write_container(path, meta, arrays)
+    return name
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None,
+          max_examples=60)
+@given(edit=_CKPT_EDITS)
+@example(edit=("field", ("mlp_config",), ["a"]))
+@example(edit=("field", ("n_classes",), "3"))
+@example(edit=("field", ("has_mixture",), "missing"))
+def test_checkpoint_with_one_bad_field_is_exit_2(tmp_path, capsys, edit):
+    path = tmp_path / "model.ckpt"
+    _write_valid_checkpoint(path)
+    name = _edit_checkpoint(path, edit)
+    for command, cfg in _eval_and_ood_configs(tmp_path, path).items():
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: checkpoint: ") and repr(name) in err, (command, err)
+
+
+def _eval_and_ood_configs(tmp_path, path):
+    texts = {"eval": f"checkpoint={path}\ndataset={BLOBS}\n",
+             "ood": f"checkpoint={path}\ndataset_in={BLOBS}\ndataset_out={BLOBS}\nscore=max_q\n"}
+    return {command: _write(tmp_path / f"{command}.cfg", text) for command, text in texts.items()}
+
+
+def test_valid_checkpoint_for_the_edits_loads(tmp_path, capsys):
+    # the unedited checkpoint behind the test above evaluates and scores
+    path = tmp_path / "model.ckpt"
+    _write_valid_checkpoint(path)
+    for command, cfg in _eval_and_ood_configs(tmp_path, path).items():
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0, command
+        assert capsys.readouterr().err == ""
 
 
 def test_mass_beta_zero_and_softmaxce_both_run(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from masslearn import metrics
 from masslearn import mixtures as mx
@@ -129,6 +130,50 @@ def test_average_precision_matches_loop():
             hits += 1
             precisions.append(hits / rank)
     assert abs(metrics.average_precision(pos, neg) - np.mean(precisions)) < 1e-12
+
+
+# Score groups for the ranking oracles: values on a coarse grid of 1-8
+# levels (1 level: every score tied), or unrestricted floats.
+_GRID_GROUPS = st.integers(1, 8).flatmap(lambda levels: st.tuples(*[
+    st.lists(st.integers(0, levels - 1).map(lambda v: 0.5 * v), min_size=1, max_size=25)] * 2))
+_FLOAT_GROUPS = st.tuples(*[st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=25)] * 2)
+
+
+def _auroc_by_pairs(a, b):
+    wins = sum(1.0 if x > y else 0.5 if x == y else 0.0 for x in a for y in b)
+    return wins / (len(a) * len(b))
+
+
+def _ap_by_scan(scores_in, scores_out, positive):
+    """Average precision by a scan down an explicit ranking: descending
+    scores for positive="in", ascending for "out", in-samples first within
+    a tie, each group in its own order."""
+    sign = -1.0 if positive == "in" else 1.0
+    items = sorted([(sign * s, 0, i) for i, s in enumerate(scores_in)]
+                   + [(sign * s, 1, i) for i, s in enumerate(scores_out)])
+    hit_group = 0 if positive == "in" else 1
+    hits, precisions = 0, []
+    for rank, (_, group, _) in enumerate(items, start=1):
+        if group == hit_group:
+            hits += 1
+            precisions.append(hits / rank)
+    return sum(precisions) / len(precisions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups=st.one_of(_GRID_GROUPS, _FLOAT_GROUPS))
+@example(groups=([1.0], [1.0]))
+@example(groups=([0.5], [0.0, 1.0, 0.5]))
+@example(groups=([2.0] * 7, [2.0] * 4))
+def test_ranking_metrics_match_the_oracles(groups):
+    scores_in, scores_out = groups
+    assert abs(metrics.auroc(scores_in, scores_out) - _auroc_by_pairs(scores_in, scores_out)) <= 1e-12
+    for positive in ("in", "out"):
+        got = metrics.average_precision_ood(scores_in, scores_out, positive)
+        assert abs(got - _ap_by_scan(scores_in, scores_out, positive)) <= 1e-12, positive
+    # the in-positive ranking is average_precision with in-samples positive
+    assert (metrics.average_precision(scores_in, scores_out)
+            == metrics.average_precision_ood(scores_in, scores_out, "in"))
 
 
 def test_score_group_validation():

@@ -109,7 +109,7 @@ def test_tape_matches_fast_path_bitwise():
     marg = mx._logsumexp_rows(scored)
     np.testing.assert_array_equal(dens.class_cond.value, cond)
     np.testing.assert_array_equal(dens.marginal.value, marg)
-    np.testing.assert_array_equal(dens.cond_own.value, cond[np.arange(9), labels])
+    np.testing.assert_array_equal(ad.take_per_row(dens.class_cond, labels).value, cond[np.arange(9), labels])
     np.testing.assert_array_equal(dens.log_post_own.value,
                                   scored[np.arange(9), labels] - marg)
 
@@ -126,7 +126,7 @@ def test_density_gradients_match_finite_differences():
     def builder(tape, *leaves):
         pnodes = dict(zip(names, leaves[:-1]))
         dens = mx.density_nodes(tape, pnodes, m, leaves[-1], labels)
-        return ad.add(ad.mean_all(dens.cond_own), ad.mean_all(dens.marginal))
+        return ad.add(ad.mean_all(ad.take_per_row(dens.class_cond, labels)), ad.mean_all(dens.marginal))
 
     points = [arr.copy() for arr in mx.mixture_param_arrays(m).values()] + [z]
     report = ad.grad_check(builder, points)
@@ -327,7 +327,7 @@ def test_constant_points_get_no_gradient():
         z_node = tape.leaf(z) if z_is_leaf else tape.constant(z)
         dens = mx.density_nodes(tape, pnodes, m, z_node, labels)
         assert (dens.class_cond.vjp(np.ones((20, 3)))[0] is None) == (not z_is_leaf)
-        got = ad.backward(ad.sum_all(dens.cond_own), list(pnodes.values()))
+        got = ad.backward(ad.sum_all(ad.take_per_row(dens.class_cond, labels)), list(pnodes.values()))
         grads[z_is_leaf] = [got[node].tobytes() for node in pnodes.values()]
     assert grads[True] == grads[False]
 
@@ -341,7 +341,7 @@ def _tape_fit_grads(m, z, labels):
     tape = ad.Tape()
     pnodes = mx.make_mixture_nodes(tape, m)
     dens = mx.density_nodes(tape, pnodes, m, tape.constant(z), labels)
-    grads = ad.backward(ad.neg(ad.mean_all(dens.cond_own)), list(pnodes.values()))
+    grads = ad.backward(ad.neg(ad.mean_all(ad.take_per_row(dens.class_cond, labels))), list(pnodes.values()))
     tape.release()
     return {name: grads[node] for name, node in pnodes.items()}
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from masslearn import autodiff as ad
 from masslearn import data as datamod
@@ -76,8 +76,18 @@ def test_beta_zero_matches_posterior_nll_and_skips_jacobian(monkeypatch):
         raise AssertionError("volume term requested at beta=0")
 
     monkeypatch.setattr(net, "log_jacobian_nodes", boom)
+    monkeypatch.setattr(net, "volume_node", boom)
+    requested = []
+    forward_nodes = net.forward_nodes
+
+    def recording_forward(*args, **kwargs):
+        requested.append(kwargs.get("scales"))
+        return forward_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(net, "forward_nodes", recording_forward)
     cfg = tr.TrainConfig(beta=0.0)
     breakdown, net_grads, mix_grads = tr.mass_minibatch_loss(params, mixture, x, y, cfg)
+    assert requested == [None]  # one pass, and no Jacobian scales asked of it
     assert breakdown.jacobian_term == 0.0
     assert breakdown.total == breakdown.cond_entropy_term
     monkeypatch.undo()
@@ -95,6 +105,118 @@ def test_beta_zero_matches_posterior_nll_and_skips_jacobian(monkeypatch):
         np.testing.assert_allclose(net_grads[name], grads[node], rtol=0, atol=1e-10)
     for name, node in mnodes.items():
         np.testing.assert_allclose(mix_grads[name], grads[node], rtol=0, atol=1e-10)
+
+
+# The loss as it was built with two network passes: the main pass for the
+# mixture terms, then log_jacobian_nodes on the first n_sub rows, run again
+# with the main pass's batch-statistic nodes, and its n per-sample nodes
+# summed with add nodes.  The reference that the one-pass loss must match.
+def _two_pass_mass_loss(net_params, mixture, x, y, cfg, dropout_mask=None, update_running=False):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    tape = ad.Tape()
+    pnodes = net.make_param_nodes(tape, net_params)
+    mnodes = mx.make_mixture_nodes(tape, mixture)
+    out, stats = net.forward_nodes(tape, pnodes, net_params, tape.constant(x), mode="train",
+                                   dropout_mask=dropout_mask, update_running=update_running)
+    dens = mx.density_nodes(tape, mnodes, mixture, out, y)
+    cond_term = ad.neg(ad.mean_all(dens.log_post_own))
+    ent_term = ad.neg(ad.mean_all(dens.marginal))
+    total, jac_value = cond_term, 0.0
+    if cfg.beta != 0.0:
+        r = net_params.config.output_dim
+        n_sub = tr.jacobian_subbatch_size(len(x), r) if cfg.subsample_jacobian else len(x)
+        log_dets = net.log_jacobian_nodes(tape, pnodes, net_params, tape.constant(x[:n_sub]),
+                                          jitter=cfg.jitter, mode="train",
+                                          dropout_mask=dropout_mask, batch_stats=stats)
+        acc = log_dets[0]
+        for ld in log_dets[1:]:
+            acc = ad.add(acc, ld)
+        jac_term = ad.mul(1.0 / len(log_dets), acc)
+        total = ad.add(cond_term, ad.sub(ad.mul(cfg.beta, ent_term), ad.mul(cfg.beta, jac_term)))
+        jac_value = jac_term.item()
+    grads = ad.backward(total, list(pnodes.values()) + list(mnodes.values()))
+    tape.release()
+    breakdown = tr.LossBreakdown(total=total.item(), cond_entropy_term=cond_term.item(),
+                                 entropy_term=ent_term.item(), jacobian_term=jac_value)
+    return (breakdown, {name: grads[node] for name, node in pnodes.items()},
+            {name: grads[node] for name, node in mnodes.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), r=st.integers(1, 3), extra=st.integers(0, 3),
+       hidden=st.lists(st.integers(0, 4), max_size=2), n=st.integers(1, 12),
+       batchnorm=st.booleans(), dropout=st.sampled_from([0.0, 0.3]),
+       nonlinearity=st.sampled_from(["elu", "identity"]), subsample=st.booleans(),
+       singular=st.booleans())
+def test_mass_loss_matches_the_two_pass_graph(seed, r, extra, hidden, n, batchnorm, dropout,
+                                              nonlinearity, subsample, singular):
+    # With `singular`, the first output row is zero, so every Gram matrix is
+    # singular at jitter 0 and each sample is retried at JITTER_RETRY.
+    cfg_net = net.MlpConfig(input_dim=r + extra, hidden_dims=tuple(h + r for h in hidden),
+                            output_dim=r, nonlinearity=nonlinearity, dropout_rate=dropout,
+                            use_batchnorm=batchnorm)
+    params = net.mlp_init(cfg_net, seed=seed % 1000)
+    gen = np.random.default_rng(seed)
+    mixture = mx.mixture_init(3, 2, r, seed=seed % 997)
+    x = gen.normal(size=(n, cfg_net.input_dim))
+    y = gen.integers(0, 3, size=n)
+    mask = net.sample_dropout_mask(cfg_net, gen)
+    if singular:
+        params.weights[-1][0] = 0.0
+    cfg = tr.TrainConfig(beta=float(gen.uniform(1e-3, 1.0)), subsample_jacobian=subsample,
+                         jitter=0.0 if singular else 1e-9)
+    # the rows the volume term reads must be well conditioned (past the zero
+    # row), or round-off in the two passes' scales would be amplified
+    n_sub = tr.jacobian_subbatch_size(n, r) if subsample else n
+    _, fast_stats = net.forward_fast(params, x, mode="train", dropout_mask=mask, return_stats=True)
+    jac = net.jacobian_batch(params, x[:n_sub], mode="train", dropout_mask=mask,
+                             batch_stats=fast_stats)[:, int(singular):]
+    assume(jac.shape[1] == 0 or min(np.linalg.eigvalsh(d @ d.T).min() for d in jac) > 1e-2)
+
+    got = tr.mass_minibatch_loss(params, mixture, x, y, cfg, dropout_mask=mask)
+    want = _two_pass_mass_loss(params, mixture, x, y, cfg, dropout_mask=mask)
+    for field in ("total", "cond_entropy_term", "entropy_term", "jacobian_term"):
+        a, b = getattr(got[0], field), getattr(want[0], field)
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), field
+    for got_grads, want_grads in zip(got[1:], want[1:]):
+        assert got_grads.keys() == want_grads.keys()
+        for name, ref in want_grads.items():
+            err = np.abs(got_grads[name] - ref).max(initial=0.0)
+            assert err <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0)), name
+
+
+def test_training_matches_the_two_pass_loss(monkeypatch):
+    # the README quick start's shape, 200 steps with each loss: the one-pass
+    # graph sums the same gradients in another order, so the runs agree to
+    # round-off carried through the training
+    train_ds, _ = datamod.gaussian_blobs(1536, 3, 2, 4.0, seed=31)
+    test_ds, _ = datamod.gaussian_blobs(600, 3, 2, 4.0, seed=32)
+    cfg_net = net.MlpConfig(input_dim=2, hidden_dims=(16,), output_dim=2, use_batchnorm=True)
+    runs = []
+    for loss in (tr.mass_minibatch_loss, _two_pass_mass_loss):
+        monkeypatch.setattr(tr, "mass_minibatch_loss", loss)
+        cfg = tr.TrainConfig(method="mass", beta=1e-3, lr=5e-3, variational_lr=2e-2,
+                             batch_size=64, steps=200, eval_interval=50, mixture_components=3,
+                             seed=11)
+        runs.append(tr.train(train_ds, test_ds, cfg_net, cfg))
+    got, want = runs
+    assert len(got.curve_rows) == len(want.curve_rows) == 4
+    for row_got, row_want in zip(got.curve_rows, want.curve_rows):
+        a, b = row_got.split(","), row_want.split(",")
+        assert a[0] == b[0] and a[4:] == b[4:]  # step and accuracies
+        for va, vb in zip(a[1:4], b[1:4]):
+            assert abs(float(va) - float(vb)) <= 1e-9 * abs(float(vb))
+    ckpt_got, ckpt_want = got.checkpoint, want.checkpoint
+    pairs = [*zip(net.param_arrays(ckpt_got.net).items(), net.param_arrays(ckpt_want.net).values()),
+             *zip(mx.mixture_param_arrays(ckpt_got.mixture).items(),
+                  mx.mixture_param_arrays(ckpt_want.mixture).values())]
+    pairs += [((f"bn_mean{li}", a), b) for li, (a, b) in
+              enumerate(zip(ckpt_got.net.bn_mean, ckpt_want.net.bn_mean))]
+    pairs += [((f"bn_var{li}", a), b) for li, (a, b) in
+              enumerate(zip(ckpt_got.net.bn_var, ckpt_want.net.bn_var))]
+    for (name, a), b in pairs:
+        assert np.abs(a - b).max() <= 1e-8, name
 
 
 def test_minibatch_loss_releases_its_tape():
