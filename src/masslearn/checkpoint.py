@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
+from .container import _array, _field
 from .data import NormStats
 from .mixtures import ClassConditionalMixture, mixture_param_arrays
 from .network import MlpConfig, MlpParams
@@ -71,33 +72,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         arrays["norm_mean"] = ckpt.norm.mean
         arrays["norm_std"] = ckpt.norm.std
     container.write_container(path, meta, arrays)
-
-
-_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-          dict: "an object", list: "a list"}
-
-
-def _field(path, meta: dict, key: str, kind: type, prefix: str = ""):
-    """meta[key] if it has JSON type `kind` (an integer passes as a number);
-    ContainerError naming the field otherwise."""
-    name = prefix + key
-    if key not in meta:
-        raise container.ContainerError(f"{path}: missing field {name!r}")
-    value = meta[key]
-    if type(value) is not kind and not (kind is float and type(value) is int):
-        raise container.ContainerError(
-            f"{path}: field {name!r} must be {_KINDS[kind]}, got {type(value).__name__}")
-    return value
-
-
-def _array(path, arrays: dict, name: str, shape: tuple) -> np.ndarray:
-    if name not in arrays:
-        raise container.ContainerError(f"{path}: missing array {name!r}")
-    arr = arrays[name]
-    if arr.dtype != np.float64 or arr.shape != shape:
-        raise container.ContainerError(f"{path}: array {name!r} is {arr.dtype} {arr.shape}, "
-                                       f"expected float64 {shape}")
-    return arr
 
 
 def _mlp_config(path, meta: dict) -> MlpConfig:

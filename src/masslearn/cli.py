@@ -232,7 +232,7 @@ def _build_dataset(spec: str, key: str) -> datamod.Dataset:
             raise ConfigError(f"{key}: cached dataset not found: {path}")
         try:
             return datamod.load_dataset(path)
-        except (ContainerError, ValueError, KeyError) as e:
+        except (ContainerError, ValueError) as e:
             raise ConfigError(f"{key}: {e}") from None
     raise ConfigError(f"{key}: unknown dataset spec {spec!r} (use blobs:, cifar10: or cache:)")
 
@@ -327,6 +327,7 @@ def cmd_train(args, out_dir: str) -> None:
             clip_norm=resolved["clip_norm"], curve_path=os.path.join(out_dir, "curves.csv"))
         train_config.validate()
         tr.check_curve_fit_counts(train_ds.labels, train_ds.n_classes, train_config)
+        tr._check_batch_rows(train_ds.n, net_config, train_config)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 

@@ -85,6 +85,36 @@ def _entry_error(entry) -> str | None:
     return None
 
 
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+          dict: "an object", list: "a list"}
+
+
+def _field(path, meta: dict, key: str, kind: type, prefix: str = ""):
+    """meta[key] if it has JSON type `kind` (an integer passes as a number);
+    ContainerError naming the field otherwise."""
+    name = prefix + key
+    if key not in meta:
+        raise ContainerError(f"{path}: missing field {name!r}")
+    value = meta[key]
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ContainerError(
+            f"{path}: field {name!r} must be {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _array(path, arrays: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """arrays[name] if it has `dtype` and `shape`, where a None length matches
+    any; ContainerError naming the array otherwise."""
+    if name not in arrays:
+        raise ContainerError(f"{path}: missing array {name!r}")
+    arr = arrays[name]
+    if arr.dtype != dtype or arr.ndim != len(shape) or any(
+            want not in (None, got) for got, want in zip(arr.shape, shape)):
+        raise ContainerError(f"{path}: array {name!r} is {arr.dtype} {arr.shape}, "
+                             f"expected {np.dtype(dtype)} {shape}")
+    return arr
+
+
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     """(meta, arrays) of a container file; ContainerError for any malformed file."""
     raw = Path(path).read_bytes()

@@ -13,6 +13,7 @@ from scipy.stats import norm as _normal_dist
 
 from . import container
 from . import rng as rngmod
+from .container import _array, _field
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 channel-major pixels
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
@@ -181,18 +182,33 @@ def batch_iterator(dataset: Dataset, batch_size: int, seed: int, epoch: int):
         yield dataset.features[idx], dataset.labels[idx]
 
 
+CACHE_VERSION = 1
+
+
 def save_dataset(path, dataset: Dataset) -> None:
     container.write_container(
         path,
-        meta={"kind": "dataset", "version": 1, "name": dataset.name,
+        meta={"kind": "dataset", "version": CACHE_VERSION, "name": dataset.name,
               "n_classes": dataset.n_classes},
         arrays={"features": dataset.features, "labels": dataset.labels},
     )
 
 
 def load_dataset(path) -> Dataset:
+    """The dataset cache at path; ContainerError, naming the field or array,
+    for a malformed file, metadata of the wrong type or version, features
+    that are not float64 (n, d), or labels that are not int64 (n,)."""
     meta, arrays = container.read_container(path)
     if meta.get("kind") != "dataset":
         raise container.ContainerError(f"{path}: not a dataset cache")
-    return Dataset(name=meta["name"], features=arrays["features"],
-                   labels=arrays["labels"], n_classes=meta["n_classes"])
+    version = _field(path, meta, "version", int)
+    if version != CACHE_VERSION:
+        raise container.ContainerError(f"{path}: field 'version' is {version}, this reader "
+                                       f"knows {CACHE_VERSION}")
+    n_classes = _field(path, meta, "n_classes", int)
+    if n_classes < 1:
+        raise container.ContainerError(f"{path}: field 'n_classes' must be at least 1")
+    features = _array(path, arrays, "features", (None, None))
+    labels = _array(path, arrays, "labels", (len(features),), np.int64)
+    return Dataset(name=_field(path, meta, "name", str), features=features,
+                   labels=labels, n_classes=n_classes)

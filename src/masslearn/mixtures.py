@@ -96,7 +96,7 @@ def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
     return np.log(np.exp(m - shift[:, None]).sum(axis=1)) + shift
 
 
-def _tri_inverse(l_fac: np.ndarray) -> np.ndarray:
+def tri_inverse(l_fac: np.ndarray) -> np.ndarray:
     """Inverses of lower-triangular factors (..., r, r), by forward substitution
     against the identity, one row at a time over every factor at once.  Raises
     LinAlgError on an exactly zero diagonal entry, as a triangular solve does."""
@@ -116,7 +116,7 @@ def _tri_inverse(l_fac: np.ndarray) -> np.ndarray:
 def _factors(chol_raw: np.ndarray):
     """Cholesky factors L, their inverses and sum_j log L_jj for every component."""
     l_fac = chol_factor(chol_raw)
-    inv = _tri_inverse(l_fac)
+    inv = tri_inverse(l_fac)
     return l_fac, inv, np.log(np.diagonal(l_fac, axis1=-2, axis2=-1)).sum(axis=-1)
 
 

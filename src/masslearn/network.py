@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import autodiff as ad
 from . import rng as rngmod
+from .mixtures import tri_inverse
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -168,6 +168,8 @@ def _stats(params: MlpParams, li: int, z: np.ndarray, mode: str, batch_stats,
     if mode != "train":
         return params.bn_mean[li], 1.0 / np.sqrt(params.bn_var[li] + BN_EPS), None
     n = z.shape[0]
+    if n < 2:  # one row has variance 0: every input would map to beta
+        raise ValueError(f"batchnorm: train-mode statistics need at least 2 rows, got {n}")
     mean = (1.0 / n) * z.sum(axis=0)
     centered = z - mean
     var = (1.0 / n) * (centered * centered).sum(axis=0)
@@ -479,13 +481,12 @@ def log_jacobian_batch(params: MlpParams, x, jitter: float = JITTER_DEFAULT,
 
 def _volume_vjp(weights, scales, lefts, jac, chol, g):
     """Gradients of sum_n g_n * 0.5 log det(D_n D_n^T + jI) in the weights and
-    the scales.  With G = g (D D^T + jI)^-1 D, R_0 = G and
+    the scales.  With G = g L^-T L^-1 D (L the Cholesky factor), R_0 = G and
     R_{l+1} = (R_l W_l^T) * s_l: dW_l = (X_l * s_l)^T R_l, ds_l = sum_r
     X_l * (R_l W_l^T), and dW_L = sum_n R_L."""
     n, r = jac.shape[:2]
-    y = scipy.linalg.solve_triangular(chol, jac, lower=True, check_finite=False)
-    resid = scipy.linalg.solve_triangular(chol, y, trans="T", lower=True, check_finite=False)
-    resid *= g[:, None, None]
+    inv = tri_inverse(chol)
+    resid = (np.swapaxes(inv, 1, 2) @ inv * g[:, None, None]) @ jac
     d_weights, d_scales = [], []
     for w, s, x in zip(weights, scales, lefts):
         d_weights.append((x * s[:, None, :]).reshape(n * r, -1).T @ resid.reshape(n * r, -1))
@@ -537,15 +538,12 @@ def amgm_slack(jac: np.ndarray, jitter: float = JITTER_DEFAULT) -> np.ndarray:
 
     For M = D D^T + jitter I the arithmetic-geometric mean inequality gives
     r*log(trace(M)/r) >= log det(M); the returned slack is the left side
-    minus the right side and must be nonnegative up to round-off.
+    minus the right side and must be nonnegative up to round-off.  log det M
+    is the loss's own (half_logdet_gram: its factor and jitter retry), checked
+    against tr M = ||D||_F^2 + r*jitter from D; a trace from the factor L could
+    never fail, as r*log(||L||_F^2/r) >= 2 sum log L_jj for every triangular L.
     """
-    jac = np.asarray(jac)
-    if jac.ndim == 2:
-        jac = jac[None]
+    jac = np.asarray(jac).reshape(-1, *np.shape(jac)[-2:])  # one sample or a batch
     r = jac.shape[1]
-    gram = jac @ np.swapaxes(jac, 1, 2) + jitter * np.eye(r)
-    trace = np.trace(gram, axis1=1, axis2=2)
-    sign, logdet = np.linalg.slogdet(gram)
-    slack = r * np.log(trace / r) - logdet
-    slack[sign <= 0] = -np.inf
-    return slack
+    trace = np.einsum("nij,nij->n", jac, jac) + r * jitter
+    return r * np.log(trace / r) - 2.0 * half_logdet_gram(jac, jitter)

@@ -63,8 +63,14 @@ class TrainConfig:
             raise ValueError(f"method must be mass or softmaxce, got {self.method!r}")
         if self.optimizer not in ("adam", "sgd_momentum"):
             raise ValueError(f"optimizer must be adam or sgd_momentum, got {self.optimizer!r}")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        for key in ("beta", "lr", "variational_lr", "jitter", "mean_scale", "clip_norm"):
+            value = getattr(self, key)
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            if key in ("beta", "jitter") and value < 0:
+                raise ValueError(f"{key} must be nonnegative, got {value}")
+            if key in ("lr", "variational_lr", "clip_norm") and value <= 0:
+                raise ValueError(f"{key} must be positive, got {value}")
         if self.batch_size < 1 or self.steps < 0 or self.eval_interval < 1:
             raise ValueError("batch_size and eval_interval must be positive, steps nonnegative")
         if self.mixture_components < 1:
@@ -234,6 +240,18 @@ def check_curve_fit_counts(labels: np.ndarray, n_classes: int, cfg: TrainConfig)
                          f"mixture_components={cfg.mixture_components} for the curve-row mixture fit")
 
 
+def _check_batch_rows(n: int, net_config: net.MlpConfig, cfg: TrainConfig) -> None:
+    """Raise ValueError if some training batch would have one row under
+    batchnorm, whose train-mode variance over one row is 0: batch_size or n
+    is 1, or the last batch of an epoch is one row and the run reaches it."""
+    if not (net_config.use_batchnorm and net_config.hidden_dims) or cfg.steps == 0:
+        return
+    if min(n, cfg.batch_size) == 1 or (n % cfg.batch_size == 1
+                                       and cfg.steps >= _ceil_div(n, cfg.batch_size)):
+        raise ValueError(f"batch_size={cfg.batch_size} over {n} training rows gives a batch of "
+                         "one row, which batchnorm cannot normalize")
+
+
 def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
           net_config: net.MlpConfig, cfg: TrainConfig) -> TrainResult:
     """Train a classifier; deterministic in cfg.seed.
@@ -249,6 +267,7 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
     if cfg.method == "mass" and net_config.output_dim > net_config.input_dim:
         raise ValueError("mass: output_dim must not exceed input_dim (Jacobian term)")
     check_curve_fit_counts(train_ds.labels, n_classes, cfg)
+    _check_batch_rows(train_ds.n, net_config, cfg)
     if cfg.subsample_jacobian and cfg.batch_size < net_config.output_dim:
         warnings.warn("batch_size below output_dim: the subsampled J term averages a single sample")
 

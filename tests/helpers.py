@@ -1,11 +1,23 @@
 """Shared test utilities: the primitive grad-check catalog and small oracles."""
 
+import math
 import zlib
 
 import numpy as np
+import scipy.linalg
 
 from masslearn import autodiff as ad
 from masslearn import network as net
+
+
+# (key, value, the rule it breaks) of training values that TrainConfig.validate rejects
+OUT_OF_RANGE = [("clip_norm", -1.0, "positive"), ("clip_norm", 0.0, "positive"),
+                ("lr", -0.005, "positive"), ("lr", 0.0, "positive"),
+                ("variational_lr", -1.0, "positive"), ("jitter", -1.0, "nonnegative"),
+                ("beta", -1e-3, "nonnegative"), ("beta", math.nan, "finite"),
+                ("lr", math.nan, "finite"), ("clip_norm", math.nan, "finite"),
+                ("variational_lr", math.inf, "finite"), ("jitter", math.nan, "finite"),
+                ("mean_scale", -math.inf, "finite")]
 
 
 def _weighted_sum(t, node, rng):
@@ -100,3 +112,21 @@ def run_primitive_gradchecks(n_points: int, seed: int = 0):
             errs.append(report.max_rel_error)
         worst[name] = max(errs)
     return worst
+
+
+def solve_volume_vjp(weights, scales, lefts, jac, chol, g):
+    """network._volume_vjp as it was with two batched triangular solves for
+    G = g (D D^T + jI)^-1 D; the reference that the inverse-factor route must
+    match."""
+    n, r = jac.shape[:2]
+    y = scipy.linalg.solve_triangular(chol, jac, lower=True, check_finite=False)
+    resid = scipy.linalg.solve_triangular(chol, y, trans="T", lower=True, check_finite=False)
+    resid *= g[:, None, None]
+    d_weights, d_scales = [], []
+    for w, s, x in zip(weights, scales, lefts):
+        d_weights.append((x * s[:, None, :]).reshape(n * r, -1).T @ resid.reshape(n * r, -1))
+        back = net._rows_matmul(resid, w.T)
+        d_scales.append((x * back).sum(axis=1))
+        resid = back * s[:, None, :]
+    d_weights.append(resid.sum(axis=0))
+    return (*d_weights, *d_scales)

@@ -17,6 +17,8 @@ from masslearn import network as net
 from masslearn import training as tr
 from masslearn.checkpoint import load_checkpoint
 
+import helpers
+
 BLOBS = "blobs:n=48,classes=3,dim=4,sep=4.0,seed=0"
 
 
@@ -217,9 +219,9 @@ _CKPT_FIELDS = [("method",), ("n_classes",), ("steps_trained",), ("has_mixture",
 _CKPT_ARRAYS = ["net_w0", "net_b0", "net_w1", "net_b1", "net_bn_scale0", "net_bn_shift0",
                 "net_bn_mean0", "net_bn_var0", "mix_means", "mix_chol_raw", "mix_weight_logits",
                 "mix_class_priors", "norm_mean", "norm_std"]
+_FIELD_VALUES = st.sampled_from(["missing", None, "3", 2.5, True, 4, [], ["a"], {"x": 1}])
 _CKPT_EDITS = st.one_of(
-    st.tuples(st.just("field"), st.sampled_from(_CKPT_FIELDS),
-              st.sampled_from(["missing", None, "3", 2.5, True, 4, [], ["a"], {"x": 1}])),
+    st.tuples(st.just("field"), st.sampled_from(_CKPT_FIELDS), _FIELD_VALUES),
     st.tuples(st.just("array"), st.sampled_from(_CKPT_ARRAYS),
               st.sampled_from(["missing", "shape", "dtype"])))
 
@@ -232,8 +234,9 @@ def _write_valid_checkpoint(path):
         n_classes=3, steps_trained=5))
 
 
-def _edit_checkpoint(path, edit):
-    """Apply one edit to the checkpoint at path; returns the name the error must carry."""
+def _edit_container(path, edit):
+    """Apply one edit to the checkpoint or dataset cache at path; returns the
+    name the error must carry."""
     meta, arrays = container.read_container(path)
     kind, where, change = edit
     if kind == "array":
@@ -241,8 +244,11 @@ def _edit_checkpoint(path, edit):
             del arrays[where]
         elif change == "shape":
             arrays[where] = arrays[where][..., None]
-        else:
-            arrays[where] = arrays[where].astype(np.int64)
+        elif change == "rows":
+            arrays[where] = arrays[where][1:]
+        else:  # the other stored dtype
+            arrays[where] = arrays[where].astype(np.float64 if arrays[where].dtype == np.int64
+                                                 else np.int64)
         name = where
     else:
         *keys, last = where
@@ -270,7 +276,7 @@ def _edit_checkpoint(path, edit):
 def test_checkpoint_with_one_bad_field_is_exit_2(tmp_path, capsys, edit):
     path = tmp_path / "model.ckpt"
     _write_valid_checkpoint(path)
-    name = _edit_checkpoint(path, edit)
+    name = _edit_container(path, edit)
     for command, cfg in _eval_and_ood_configs(tmp_path, path).items():
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2, command
         err = capsys.readouterr().err
@@ -290,6 +296,72 @@ def test_valid_checkpoint_for_the_edits_loads(tmp_path, capsys):
     for command, cfg in _eval_and_ood_configs(tmp_path, path).items():
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0, command
         assert capsys.readouterr().err == ""
+
+
+# The same edits of a valid dataset cache, and (as an example) labels one
+# row short of the features.
+_CACHE_EDITS = st.one_of(
+    st.tuples(st.just("field"), st.sampled_from([("name",), ("n_classes",), ("version",)]),
+              _FIELD_VALUES),
+    st.tuples(st.just("array"), st.sampled_from(["features", "labels"]),
+              st.sampled_from(["missing", "shape", "dtype"])))
+
+
+def _save_blobs_cache(path):
+    datamod.save_dataset(path, datamod.gaussian_blobs(48, 3, 4, 4.0, 0)[0])
+
+
+def _assert_train_on_cache_is_exit_2(tmp_path, capsys, path, name):
+    cfg = _write(tmp_path / "train.cfg", f"dataset=cache:{path}\nrepresentation_dim=2\n")
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dataset: ") and repr(name) in err, err
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None,
+          max_examples=40)
+@given(edit=_CACHE_EDITS)
+@example(edit=("field", ("n_classes",), "3"))
+@example(edit=("field", ("name",), [1]))
+@example(edit=("array", "labels", "dtype"))
+@example(edit=("array", "labels", "rows"))
+def test_dataset_cache_with_one_bad_field_is_exit_2(tmp_path, capsys, edit):
+    path = tmp_path / "blobs.bin"
+    _save_blobs_cache(path)
+    _assert_train_on_cache_is_exit_2(tmp_path, capsys, path, _edit_container(path, edit))
+
+
+@pytest.mark.parametrize("key,value", [("n_classes", 0), ("version", 2)])
+def test_dataset_cache_field_out_of_range_is_exit_2(tmp_path, capsys, key, value):
+    path = tmp_path / "blobs.bin"
+    _save_blobs_cache(path)
+    meta, arrays = container.read_container(path)
+    meta[key] = value
+    container.write_container(path, meta, arrays)
+    _assert_train_on_cache_is_exit_2(tmp_path, capsys, path, key)
+
+
+@pytest.mark.parametrize("key,value,why", helpers.OUT_OF_RANGE)
+def test_out_of_range_training_values_are_exit_2(tmp_path, capsys, key, value, why):
+    out = tmp_path / "o"
+    rc = cli.main(["train", "--config", _train_cfg(tmp_path, f"{key}={value}\n"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be {why}")
+    assert not (out / "model.ckpt").exists()
+
+
+def test_one_row_batch_under_batchnorm_is_exit_2(tmp_path, capsys):
+    # 129 rows in batches of 64: the third batch of each epoch is one row
+    base = "dataset=blobs:n=129,classes=3\nhidden=6\nrepresentation_dim=2\nbatch_size=64\n"
+    out = tmp_path / "o"
+    rc = cli.main(["train", "--config", _write(tmp_path / "a.cfg", base + "steps=3\n"),
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: batch_size=64 over 129 training rows")
+    assert not (out / "model.ckpt").exists()
+    for extra in ("steps=2\n", "steps=3\nbatchnorm=false\n"):
+        assert cli.main(["train", "--config", _write(tmp_path / "b.cfg", base + extra),
+                         "--out", str(out)]) == 0
 
 
 def test_mass_beta_zero_and_softmaxce_both_run(tmp_path):

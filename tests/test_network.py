@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from masslearn import autodiff as ad
 from masslearn import network as net
 
+import helpers
+
 
 def small_config(**kw):
     defaults = dict(input_dim=2, hidden_dims=(3,), output_dim=2)
@@ -313,6 +315,85 @@ def test_amgm_slack_nonnegative():
     jac = net.jacobian_batch(params, gen.normal(size=(32, 8)))
     slack = net.amgm_slack(jac)
     assert np.all(slack >= -1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), r=st.integers(1, 4), extra=st.integers(0, 3),
+       hidden=st.lists(st.integers(0, 4), max_size=2), n=st.integers(1, 6),
+       singular=st.booleans())
+def test_volume_vjp_matches_the_triangular_solves(seed, r, extra, hidden, n, singular):
+    # With `singular`, the first output row is zero, so at jitter 0 every
+    # sample takes the jitter retry and M^-1 has an eigenvalue of 1e8.
+    gen = np.random.default_rng(seed)
+    dims = (r + extra, *(h + r for h in hidden), r)
+    weights = [gen.normal(size=(fan_out, fan_in)) for fan_in, fan_out in zip(dims, dims[1:])]
+    scales = [gen.uniform(0.0, 2.0, size=(n, width)) for width in dims[1:-1]]
+    if singular:
+        weights[-1][0] = 0.0
+    jac, lefts = net._chain_product(weights, scales, n)
+    sub = jac[:, int(singular):]
+    assume(sub.shape[1] == 0 or min(np.linalg.eigvalsh(d @ d.T).min() for d in sub) >= 1e-2)
+    jitter = 0.0 if singular else 1e-9
+    chol = net._gram_cholesky(jac, jitter)
+    g = gen.normal(size=n)
+    got = net._volume_vjp(weights, scales, lefts, jac, chol, g)
+    want = helpers.solve_volume_vjp(weights, scales, lefts, jac, chol, g)
+    # relative to the largest entry of any gradient, as both routes carry
+    # round-off of order cond(M) * eps
+    top = max(np.abs(b).max() for b in want)
+    assert len(got) == len(want) == 2 * len(weights) - 1
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * top
+
+
+def _slogdet_amgm_slack(jac, jitter):
+    """amgm_slack as it was: a second Gram product and slogdet."""
+    r = jac.shape[1]
+    gram = jac @ np.swapaxes(jac, 1, 2) + jitter * np.eye(r)
+    sign, logdet = np.linalg.slogdet(gram)
+    slack = r * np.log(np.trace(gram, axis1=1, axis2=2) / r) - logdet
+    slack[sign <= 0] = -np.inf
+    return slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), r=st.integers(1, 5), extra=st.integers(0, 4),
+       n=st.integers(1, 8), log_scale=st.floats(-3.0, 3.0),
+       jitter=st.sampled_from([0.0, 1e-12, 1e-6]))
+def test_amgm_slack_matches_the_slogdet_formula(seed, r, extra, n, log_scale, jitter):
+    jac = 10.0 ** log_scale * np.random.default_rng(seed).normal(size=(n, r, r + extra))
+    assume(min(np.linalg.eigvalsh(d @ d.T).min() for d in jac) >= 1e-2)
+    got = net.amgm_slack(jac, jitter)
+    want = _slogdet_amgm_slack(jac, jitter)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+    np.testing.assert_array_equal(net.amgm_slack(jac[0], jitter), got[:1])
+
+
+def test_amgm_slack_reads_the_loss_factor(monkeypatch):
+    # M = 4 I has slack 0; a factor that overstates the log-det shows as a
+    # negative slack, since the trace comes from D and not from the factor
+    jac = 2.0 * np.eye(3)[None]
+    assert net.amgm_slack(jac, 0.0)[0] == pytest.approx(0.0, abs=1e-14)
+    cholesky = net._gram_cholesky
+    monkeypatch.setattr(net, "_gram_cholesky", lambda jac, jitter: 2.0 * cholesky(jac, jitter))
+    assert net.amgm_slack(jac, 0.0)[0] == pytest.approx(-6.0 * np.log(2.0), rel=1e-12)
+
+
+def test_one_row_batchnorm_statistics_are_an_error():
+    cfg = small_config(use_batchnorm=True)
+    params = net.mlp_init(cfg, seed=0)
+    x = np.ones((1, 2))
+    with pytest.raises(ValueError, match="at least 2 rows, got 1"):
+        net.forward_fast(params, x, mode="train")
+    tape = ad.Tape()
+    with pytest.raises(ValueError, match="at least 2 rows, got 1"):
+        net.forward_nodes(tape, net.make_param_nodes(tape, params), params, tape.constant(x),
+                          mode="train")
+    # eval mode and given statistics read no batch variance
+    net.forward_fast(params, x, mode="eval")
+    _, stats = net.forward_fast(params, np.ones((2, 2)), mode="train", return_stats=True)
+    net.forward_fast(params, x, mode="train", batch_stats=stats)
 
 
 def test_dropout_mask_values():
