@@ -189,11 +189,16 @@ def _spec_params(body: str, key: str, allowed: dict) -> dict:
 
 
 def parse_dataset_spec(spec: str, key: str) -> datamod.Dataset:
-    """Build a dataset from `blobs:...`, `cifar10:...` or `cache:PATH`; every
-    feature must be finite."""
+    """Build a dataset from `blobs:...`, `cifar10:...` or `cache:PATH`; it
+    must have rows and columns, and every feature must be finite."""
     ds = _build_dataset(spec, key)
-    finite = np.isfinite(ds.features).all(axis=1)
-    if not finite.all():
+    if ds.n == 0 or ds.dim == 0:
+        raise ConfigError(f"{key}: dataset is empty ({ds.n} rows, {ds.dim} feature columns)")
+    # NaN propagates through min and max, and an infinity shows in one of
+    # them; only a failure pays for the (n, d) mask that names the row
+    f = ds.features
+    if not (np.isfinite(f.min()) and np.isfinite(f.max())):
+        finite = np.isfinite(f).all(axis=1)
         raise ConfigError(f"{key}: non-finite feature in row {int(np.argmin(finite))}")
     return ds
 
@@ -254,9 +259,11 @@ def _check_dims(ckpt, ds: datamod.Dataset, key: str) -> None:
 
 
 def _normalized(ckpt, ds: datamod.Dataset) -> np.ndarray:
-    if ckpt.norm is None:
-        return ds.features
-    return datamod.normalize_apply(ds.features, ckpt.norm)
+    """ds.features normalized in place: eval and ood own the dataset and
+    never read its raw features again, so no second pool is held."""
+    if ckpt.norm is not None:
+        datamod._normalize(ds.features, ckpt.norm, out=ds.features)
+    return ds.features
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +339,10 @@ def cmd_train(args, out_dir: str) -> None:
         raise ConfigError(str(e)) from None
 
     write_config_echo(out_dir, "train", resolved)
-    result = tr.train(train_ds, test_ds, net_config, train_config)
+    try:
+        result = tr.train(train_ds, test_ds, net_config, train_config)
+    except datamod.NormalizationError as e:
+        raise ConfigError(f"dataset: {e}") from None
     save_checkpoint(os.path.join(out_dir, "model.ckpt"), result.checkpoint)
     print(f"trained {method} for {train_config.steps} steps on {train_ds.name} "
           f"(n={train_ds.n}, d={train_ds.dim}, classes={train_ds.n_classes})")
@@ -408,6 +418,9 @@ def cmd_cdi_demo(args, out_dir: str) -> None:
         raise ConfigError(f"key 'n': need at least 1000 samples, got {n}")
     if k < 1:
         raise ConfigError(f"key 'k': must be at least 1, got {k}")
+    if k >= n // 10:
+        raise ConfigError(f"key 'k': the standard error re-estimates on 10 folds, so k must be "
+                          f"below n // 10 = {n // 10}, got {k}")
     write_config_echo(out_dir, "cdi-demo", resolved)
 
     x = rngmod.stream(args.seed, "cdi-demo").normal(size=n)

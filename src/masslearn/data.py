@@ -18,6 +18,7 @@ from .container import _array, _field
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 channel-major pixels
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 CIFAR_TEST_FILES = ("test_batch.bin",)
+_STRIP_BYTES = 16 * 2**20  # bound on the temporary of one in-place row permutation strip
 
 
 @dataclass
@@ -80,12 +81,22 @@ def gaussian_blobs(n: int, n_classes: int, dim: int, separation: float, seed: in
     means[:, 0] = radius * np.cos(angles)
     means[:, 1] = radius * np.sin(angles)
 
+    # one (n, dim) array from the first draw on: standard_normal(out=) makes
+    # the draws normal(size=) would, and the rows are permuted a column strip
+    # at a time so that the permutation's temporary stays near _STRIP_BYTES
+    n_rows = per_class * n_classes
     gen = rngmod.stream(seed, "blobs")
-    feats = np.vstack([means[c] + gen.normal(size=(per_class, dim)) for c in range(n_classes)])
-    labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
-    order = gen.permutation(per_class * n_classes)
-    feats = feats[order] + shift
-    labels = labels[order]
+    feats = np.empty((n_rows, dim))
+    for c in range(n_classes):
+        block = feats[c * per_class:(c + 1) * per_class]
+        gen.standard_normal(out=block)
+        block += means[c]
+    order = gen.permutation(n_rows)
+    width = max(1, _STRIP_BYTES // (feats.itemsize * n_rows))
+    for j in range(0, dim, width):
+        feats[:, j:j + width] = feats[order, j:j + width]
+    feats += shift
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)[order]
     ds = Dataset(name=f"blobs(c={n_classes},d={dim},sep={separation:g})",
                  features=feats, labels=labels, n_classes=n_classes)
     return ds, BlobSpec(means=means, n_classes=n_classes, dim=dim)
@@ -119,33 +130,45 @@ def load_cifar10(dir_path, split: str, limit: int | None = None) -> Dataset:
 
     Records are 3073 bytes: one label byte then 3072 pixel bytes
     (channel-major: 1024 red, 1024 green, 1024 blue, each row-major 32x32).
-    Features are scaled to [0, 1].  `limit` keeps only the first rows.
+    Features are scaled to [0, 1].  `limit` keeps only the first rows; the
+    files are read in order into one array of that many rows, and the label
+    bytes are checked on the rows read.
     """
     if split not in ("train", "test"):
         raise ValueError(f"load_cifar10: split must be train or test, got {split!r}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"load_cifar10: limit must be at least 1, got {limit}")
     files = CIFAR_TRAIN_FILES if split == "train" else CIFAR_TEST_FILES
     root = Path(dir_path)
-    feats, labels = [], []
+    records = []
     for fname in files:
         path = root / fname
         if not path.exists():
             raise FileNotFoundError(f"load_cifar10: missing {path}")
-        raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
-        if raw.size == 0 or raw.size % CIFAR_RECORD_BYTES != 0:
+        size = path.stat().st_size
+        if size == 0 or size % CIFAR_RECORD_BYTES != 0:
             raise ValueError(
-                f"load_cifar10: {path} holds {raw.size} bytes, not a multiple of the "
+                f"load_cifar10: {path} holds {size} bytes, not a multiple of the "
                 f"{CIFAR_RECORD_BYTES}-byte record size"
             )
-        rec = raw.reshape(-1, CIFAR_RECORD_BYTES)
-        labels.append(rec[:, 0].astype(np.int64))
-        feats.append(rec[:, 1:].astype(np.float64) / 255.0)
-    features = np.vstack(feats)
-    labels = np.concatenate(labels)
+        records.append((path, size // CIFAR_RECORD_BYTES))
+    n = sum(count for _, count in records)
+    if limit is not None:
+        n = min(n, limit)
+    features = np.empty((n, CIFAR_RECORD_BYTES - 1))
+    labels = np.empty(n, dtype=np.int64)
+    start = 0
+    for path, count in records:
+        take = min(count, n - start)
+        if take == 0:
+            break
+        rec = np.fromfile(path, dtype=np.uint8, count=take * CIFAR_RECORD_BYTES)
+        rec = rec.reshape(take, CIFAR_RECORD_BYTES)
+        labels[start:start + take] = rec[:, 0]
+        np.divide(rec[:, 1:], 255.0, out=features[start:start + take])
+        start += take
     if labels.max() > 9:
         raise ValueError("load_cifar10: label byte above 9, file is not CIFAR-10")
-    if limit is not None:
-        features = features[:limit]
-        labels = labels[:limit]
     return Dataset(name=f"cifar10-{split}", features=features, labels=labels, n_classes=10)
 
 
@@ -155,11 +178,23 @@ class NormStats:
     std: np.ndarray
 
 
+class NormalizationError(ValueError):
+    """Finite training features whose per-column statistics overflow."""
+
+
 def normalize_fit(train_features: np.ndarray) -> NormStats:
     """Per-feature mean/std from the training set only; zero-variance
-    features keep std 1 and trigger a warning."""
-    mean = train_features.mean(axis=0)
-    std = train_features.std(axis=0)
+    features keep std 1 and trigger a warning.  NormalizationError, naming
+    the first column, when finite features give a non-finite std (values
+    too large to square); non-finite features pass through."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train_features.mean(axis=0)
+        std = train_features.std(axis=0)
+    if not np.isfinite(std).all():
+        overflowed = ~np.isfinite(std) & np.isfinite(train_features).all(axis=0)
+        if overflowed.any():
+            raise NormalizationError(f"feature column {int(np.argmax(overflowed))} has a "
+                                     "non-finite standard deviation")
     degenerate = std == 0.0
     if degenerate.any():
         warnings.warn(f"normalize_fit: {int(degenerate.sum())} zero-variance features, std left at 1")
@@ -168,7 +203,17 @@ def normalize_fit(train_features: np.ndarray) -> NormStats:
 
 
 def normalize_apply(features: np.ndarray, stats: NormStats) -> np.ndarray:
-    return (features - stats.mean) / stats.std
+    """(features - mean) / std as a new array; features is not written."""
+    return _normalize(features, stats)
+
+
+def _normalize(features: np.ndarray, stats: NormStats, out: np.ndarray | None = None) -> np.ndarray:
+    """One subtraction into out (a new array when None; features itself to
+    normalize in place), then an in-place divide: the arithmetic of
+    (features - mean) / std."""
+    out = np.subtract(features, stats.mean, out=out)
+    out /= stats.std
+    return out
 
 
 def batch_iterator(dataset: Dataset, batch_size: int, seed: int, epoch: int):

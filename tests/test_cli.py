@@ -179,6 +179,45 @@ def test_non_finite_features_are_exit_2_and_name_the_row(tmp_path, capsys):
     assert "dataset: non-finite feature in row 3" in err
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_first_non_finite_row_is_named(tmp_path, bad):
+    ds, _ = datamod.gaussian_blobs(48, 3, 4, 4.0, 0)
+    ds.features[7, 2] = bad
+    ds.features[30, 0] = -bad
+    path = tmp_path / "bad.bin"
+    datamod.save_dataset(path, ds)
+    with pytest.raises(cli.ConfigError, match="dataset: non-finite feature in row 7$"):
+        cli.parse_dataset_spec(f"cache:{path}", "dataset")
+
+
+@pytest.mark.parametrize("features", [np.zeros((0, 4)), np.zeros((5, 0))])
+def test_empty_dataset_is_exit_2_and_names_the_key(tmp_path, capsys, features):
+    path = tmp_path / "empty.bin"
+    datamod.save_dataset(path, datamod.Dataset("empty", features,
+                                                np.zeros(len(features), np.int64), 3))
+    train_cfg = _write(tmp_path / "train.cfg",
+                       f"dataset=cache:{path}\nrepresentation_dim=2\nsteps=1\n")
+    rc = cli.main(["train", "--config", train_cfg, "--out", str(tmp_path / "t")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"config error: dataset: dataset is empty ({features.shape[0]} rows, "
+                            f"{features.shape[1]} feature columns)\n")
+    assert captured.out == ""
+
+
+def test_overflowing_feature_statistics_are_exit_2_without_a_warning(tmp_path, capsys):
+    cfg = _write(tmp_path / "big.cfg", "dataset=blobs:n=300,classes=3,dim=4,sep=1e300\n"
+                 "representation_dim=2\nhidden=6\nbatch_size=64\nsteps=1\n")
+    out = tmp_path / "o"
+    rc = cli.main(["train", "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ("config error: dataset: feature column 0 has a non-finite "
+                            "standard deviation\n")
+    assert captured.out == ""
+    assert not (out / "curves.csv").exists()
+
+
 def test_softmaxce_class_too_small_for_the_curve_fit_is_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path / "small.cfg",
                  "dataset=blobs:n=27,classes=3,dim=4,seed=1\nmethod=softmaxce\nhidden=6\n"
@@ -516,6 +555,14 @@ def test_cdi_demo_rows_and_determinism(tmp_path, capsys):
     out_c = tmp_path / "cc"
     assert cli.main(["cdi-demo", "--config", cfg, "--out", str(out_c), "--seed", "3"]) == 0
     assert (out_c / "cdi.csv").read_text() != text
+
+
+@pytest.mark.parametrize("n,k", [(1000, 100), (1000, 150), (1999, 199)])
+def test_cdi_demo_k_must_leave_each_fold_more_than_k_samples(tmp_path, capsys, n, k):
+    cfg = _write(tmp_path / "cdi.cfg", f"n={n}\nk={k}\n")
+    assert cli.main(["cdi-demo", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'k': ") and f"n // 10 = {n // 10}, got {k}" in err
 
 
 def test_cdi_demo_threads_do_not_change_results(tmp_path, capsys):

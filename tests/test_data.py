@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +8,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from masslearn import checkpoint as ckpt_mod
+from masslearn import cli
 from masslearn import container
 from masslearn import data
+from masslearn import metrics
 from masslearn import mixtures as mx
 from masslearn import network as net
+from masslearn import rng as rngmod
+from masslearn import training as tr
 
 
 def test_blobs_deterministic_and_balanced():
@@ -44,6 +50,53 @@ def test_blobs_shift_moves_everything():
     base, _ = data.gaussian_blobs(60, 2, 2, separation=4.0, seed=3)
     moved, _ = data.gaussian_blobs(60, 2, 2, separation=4.0, seed=3, shift=10.0)
     np.testing.assert_allclose(moved.features, base.features + 10.0, atol=0)
+
+
+def _reference_blobs(n, n_classes, dim, separation, seed, shift):
+    """The generator as it was before it filled one array in place: a list
+    of class blocks, vstack, a permuted copy and a shifted copy."""
+    per_class = n // n_classes
+    radius = separation / 2.0
+    angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
+    means = np.zeros((n_classes, dim))
+    means[:, 0] = radius * np.cos(angles)
+    means[:, 1] = radius * np.sin(angles)
+    gen = rngmod.stream(seed, "blobs")
+    feats = np.vstack([means[c] + gen.normal(size=(per_class, dim)) for c in range(n_classes)])
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
+    order = gen.permutation(per_class * n_classes)
+    return feats[order] + shift, labels[order]
+
+
+@settings(deadline=None, max_examples=60)
+@given(n_classes=st.integers(2, 12), extra=st.integers(0, 300), dim=st.integers(2, 64),
+       separation=st.floats(0.0, 20.0), seed=st.integers(0, 2**31),
+       shift=st.one_of(st.just(0.0), st.floats(1e-3, 50.0), st.floats(-50.0, -1e-3)),
+       strip_bytes=st.one_of(st.just(data._STRIP_BYTES), st.integers(1, 4096)))
+def test_blobs_match_the_reference_generator_bit_for_bit(n_classes, extra, dim, separation,
+                                                         seed, shift, strip_bytes):
+    # small strip budgets make the in-place permutation run in many strips
+    n = n_classes + extra
+    with mock.patch.object(data, "_STRIP_BYTES", strip_bytes):
+        ds, _ = data.gaussian_blobs(n, n_classes, dim, separation, seed, shift=shift)
+    feats, labels = _reference_blobs(n, n_classes, dim, separation, seed, shift)
+    assert ds.features.tobytes() == feats.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+    assert ds.features.shape == feats.shape
+
+
+def test_parse_blobs_holds_one_feature_array():
+    # numpy reports its buffers to tracemalloc, so the bound holds on any machine:
+    # the features, one permutation strip, and a megabyte for the rest
+    tracemalloc.start()
+    try:
+        ds = cli.parse_dataset_spec("blobs:n=4000,classes=10,dim=2048,sep=4.0,seed=1,shift=1.0",
+                                    "dataset")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (4000, 2048)
+    assert peak <= ds.features.nbytes + data._STRIP_BYTES + 2**20, peak / ds.features.nbytes
 
 
 def test_two_class_bayes_oracle():
@@ -86,6 +139,46 @@ def test_cifar_loader_reads_records(tmp_path):
     assert limited.n == 2
 
 
+def _reference_cifar10(dir_path, split, limit=None):
+    """The loader as it was before it filled one array: every file read
+    whole, vstacked, then a view of the first `limit` rows."""
+    files = data.CIFAR_TRAIN_FILES if split == "train" else data.CIFAR_TEST_FILES
+    feats, labels = [], []
+    for fname in files:
+        raw = np.frombuffer((dir_path / fname).read_bytes(), dtype=np.uint8)
+        rec = raw.reshape(-1, data.CIFAR_RECORD_BYTES)
+        labels.append(rec[:, 0].astype(np.int64))
+        feats.append(rec[:, 1:].astype(np.float64) / 255.0)
+    features = np.vstack(feats)
+    labels = np.concatenate(labels)
+    if limit is not None:
+        features = features[:limit]
+        labels = labels[:limit]
+    return features, labels
+
+
+@pytest.mark.parametrize("split,limit", [
+    ("train", None), ("test", None), ("train", 4),
+    ("train", 9),     # crosses from the first file into the second
+    ("train", 30), ("train", 100), ("test", 1),
+])
+def test_cifar_loader_matches_the_reference_loader(tmp_path, split, limit):
+    _write_cifar_fixture(tmp_path, n_files=5, records=6, seed=3)
+    ds = data.load_cifar10(tmp_path, split, limit=limit)
+    feats, labels = _reference_cifar10(tmp_path, split, limit)
+    assert ds.features.shape == feats.shape
+    assert ds.features.tobytes() == feats.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+    # the rows kept own their data, so no unused rows are held
+    assert ds.features.base is None and ds.features.flags.owndata
+
+
+def test_cifar_loader_rejects_a_limit_below_one(tmp_path):
+    _write_cifar_fixture(tmp_path, n_files=5)
+    with pytest.raises(ValueError, match="limit"):
+        data.load_cifar10(tmp_path, "train", limit=0)
+
+
 def test_cifar_loader_corrupt_file(tmp_path):
     (tmp_path / "test_batch.bin").write_bytes(b"\x00" * 100)
     with pytest.raises(ValueError, match="3073"):
@@ -108,6 +201,29 @@ def test_normalize_train_stats_only():
     np.testing.assert_allclose(norm_train.std(axis=0), 1.0, atol=1e-12)
     # test stats must NOT be centered (they came from a different distribution)
     assert np.abs(norm_test.mean(axis=0)).max() > 0.5
+
+
+def test_normalize_overflow_names_the_column():
+    feats = np.random.default_rng(2).normal(size=(40, 4))
+    feats[:, 2] *= 1e300
+    with np.errstate(all="raise"):
+        with pytest.raises(data.NormalizationError, match="feature column 2 "):
+            data.normalize_fit(feats)
+    # non-finite features are not an overflow: their statistics pass through
+    feats[:, 2] = np.nan
+    assert np.isnan(data.normalize_fit(feats).std[2])
+
+
+def test_normalize_in_place_matches_normalize_apply():
+    gen = np.random.default_rng(4)
+    feats = gen.normal(loc=2.0, scale=3.0, size=(64, 5))
+    stats = data.NormStats(mean=gen.normal(size=5), std=gen.uniform(0.5, 2.0, size=5))
+    expected = (feats - stats.mean) / stats.std
+    fresh = data.normalize_apply(feats, stats)
+    assert fresh.tobytes() == expected.tobytes()
+    owned = feats.copy()
+    assert data._normalize(owned, stats, out=owned) is owned
+    assert owned.tobytes() == expected.tobytes()
 
 
 def test_normalize_degenerate_feature_warns():
@@ -261,3 +377,24 @@ def test_well_formed_raw_container_reads(tmp_path):
     meta, arrays = container.read_container(path)
     assert meta == {"k": 1}
     assert arrays["a"].tolist() == [0]
+
+
+def test_library_functions_leave_their_inputs_unchanged():
+    train_ds, _ = data.gaussian_blobs(96, 3, 4, 4.0, seed=5)
+    test_ds, _ = data.gaussian_blobs(30, 3, 4, 4.0, seed=6)
+    inputs = [train_ds.features, train_ds.labels, test_ds.features, test_ds.labels]
+    before = [a.copy() for a in inputs]
+
+    cfg_net = net.MlpConfig(input_dim=4, hidden_dims=(6,), output_dim=2)
+    cfg = tr.TrainConfig(method="mass", beta=1e-3, batch_size=32, steps=2, eval_interval=2,
+                         mixture_components=2)
+    ckpt = tr.train(train_ds, test_ds, cfg_net, cfg).checkpoint
+    features = data.normalize_apply(test_ds.features, ckpt.norm)
+    normalized = features.copy()
+    tr.predict_probabilities(ckpt, features)
+    for name in metrics.OOD_SCORE_NAMES:
+        metrics.ood_scores(ckpt, features, name)
+
+    for arr, old in zip(inputs, before):
+        assert arr.tobytes() == old.tobytes()
+    assert features.tobytes() == normalized.tobytes()
