@@ -14,6 +14,9 @@ The analytic map catalog pairs simple closed-form maps of a standard normal
 input with their exact C values, giving ground truth for the estimator.
 Mutual information I(X; f(X)) after quantization is also provided for
 contrast: it grows without bound as the grid is refined, while C stays put.
+
+Scalar samples find their k-th neighbor distances with one sort; samples of
+two or more dimensions use scipy's `cKDTree`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,37 @@ def _as_points(z) -> np.ndarray:
         z = z[:, None]
     if z.ndim != 2 or z.shape[0] < 1:
         raise ValueError(f"expected samples of shape (n,) or (n, m), got {z.shape}")
+    if z.shape[1] < 1:
+        raise ValueError(f"samples have no dimensions: shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("samples must be finite")
     return z
+
+
+def _kth_neighbor_distance(z: np.ndarray, k: int, workers: int) -> np.ndarray:
+    """(n,) distance from each row of z to its k-th nearest other row.
+
+    For one dimension, the k nearest others of sorted value s[p] lie in one
+    of the k + 1 runs s[a..a+k] with p - k <= a <= p, so
+    rho_p = min_a max(s[p] - s[a], s[a+k] - s[p]).  Each difference is the
+    |d| that the tree's sqrt(d^2) rounds back to, so the distances match the
+    tree's bit for bit unless d^2 underflows, where these are the exact ones.
+    """
+    n, m = z.shape
+    if m > 1:
+        return cKDTree(z).query(z, k=k + 1, workers=workers)[0][:, k]
+    order = np.argsort(z[:, 0], kind="stable")
+    s = z[order, 0]
+    padded = np.concatenate((np.full(k, -np.inf), s, np.full(k, np.inf)))
+    rho_sorted = np.full(n, np.inf)
+    for j in range(k + 1):
+        # the run starting j places below p; padding makes runs past an end inf
+        lo = padded[k - j:k - j + n]
+        hi = padded[2 * k - j:2 * k - j + n]
+        np.minimum(rho_sorted, np.maximum(s - lo, hi - s), out=rho_sorted)
+    rho = np.empty(n)
+    rho[order] = rho_sorted
+    return rho
 
 
 def knn_entropy(z, k: int = 3, workers: int = 1) -> float:
@@ -46,10 +79,13 @@ def knn_entropy(z, k: int = 3, workers: int = 1) -> float:
     H ~= psi(n) - psi(k) + log V_m + (m/n) * sum_i log rho_i where rho_i is
     the distance from sample i to its k-th neighbor and V_m is the unit-ball
     volume.  Samples whose k-th neighbor distance is exactly zero (exact
-    duplicates) are displaced deterministically by 1e-12 times their index
-    before re-querying, so discrete repeats never produce log(0); neighbor
-    ties at equal distance are irrelevant because only distances enter the
-    estimate.  `workers` parallelizes the neighbor queries.
+    duplicates) are displaced deterministically by their index + 1 times
+    max(1e-12, 4 ulp of the value) before re-querying, so discrete repeats
+    never produce log(0), however large; neighbor ties at equal distance
+    are irrelevant because only distances enter the estimate.  Scalar
+    samples are handled by one sort; `workers` parallelizes the `cKDTree`
+    queries of samples with two or more dimensions and is ignored for one.
+    Samples must be finite.
     """
     z = _as_points(z)
     n, m = z.shape
@@ -57,15 +93,14 @@ def knn_entropy(z, k: int = 3, workers: int = 1) -> float:
         raise ValueError("knn_entropy: k must be at least 1")
     if n <= k:
         raise ValueError(f"knn_entropy: need more than k={k} samples, got {n}")
-    dists, _ = cKDTree(z).query(z, k=k + 1, workers=workers)
-    rho = dists[:, k]
+    rho = _kth_neighbor_distance(z, k, workers)
     zero = rho == 0.0
     if zero.any():
         jittered = z.copy()
         idx = np.flatnonzero(zero)
-        jittered[idx] += 1e-12 * (idx[:, None] + 1.0)
-        dists, _ = cKDTree(jittered).query(jittered, k=k + 1, workers=workers)
-        rho = dists[:, k]
+        step = np.maximum(1e-12, 4.0 * np.spacing(np.abs(z[idx])))
+        jittered[idx] += step * (idx[:, None] + 1.0)
+        rho = _kth_neighbor_distance(jittered, k, workers)
         if (rho == 0.0).any():
             raise ValueError("knn_entropy: duplicate samples persist after index jitter")
     log_unit_ball = 0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0)

@@ -478,7 +478,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value configuration file")
         p.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for per-sample loops that support them")
+                       help="threads for the k-NN neighbor search of samples with two "
+                            "or more dimensions; cdi-demo's maps are all scalar, so it "
+                            "does not use them")
         p.add_argument("--out", required=True, help="output directory for artifacts")
     return parser
 

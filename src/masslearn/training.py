@@ -78,7 +78,8 @@ class TrainConfig:
 
 
 class TrainingDivergedError(RuntimeError):
-    """A training step gave a non-finite loss or gradient norm, or a singular mixture factor."""
+    """A training step gave a non-finite loss or gradient norm, a singular
+    mixture factor, or a degenerate Jacobian in its loss sub-batch or curve row."""
 
     def __init__(self, step: int, term: str):
         super().__init__(f"training diverged at step {step}: {term}")
@@ -341,6 +342,7 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
             for bx, by in datamod.batch_iterator(normalized, cfg.batch_size, cfg.seed, epoch):
                 step += 1
                 mask = net.sample_dropout_mask(net_config, rngmod.stream(cfg.seed, rngmod.DROPOUT, step))
+                batch = "loss sub-batch"
                 try:
                     if cfg.method == "mass":
                         breakdown, grads, mix_grads = mass_minibatch_loss(
@@ -360,9 +362,12 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
                         mx.set_mixture_param_arrays(mixture, step_params(
                             mx.mixture_param_arrays(mixture), grads, phi_state, cfg.variational_lr))
                     if step % cfg.eval_interval == 0 or step == cfg.steps:
+                        batch = "curve row"
                         write_row(step)
                 except np.linalg.LinAlgError:
                     raise TrainingDivergedError(step, "a mixture covariance factor is singular") from None
+                except net.DegenerateJacobianError as err:
+                    raise TrainingDivergedError(step, f"{err} of the {batch}") from None
                 if step >= cfg.steps:
                     break
             epoch += 1

@@ -1,9 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
+from scipy.special import digamma, gammaln
 
-from masslearn import cdi
+from masslearn import cdi, cli
 
 STD_H = 1.4189385332046727       # 0.5*log(2*pi*e)
 FOLDED_H = 0.7257913526447274    # STD_H - log 2
@@ -56,6 +60,143 @@ def test_knn_entropy_duplicates_get_index_jitter():
     # heavily quantized data still works end to end
     q = np.round(np.random.default_rng(8).normal(size=500) * 2) / 2
     assert np.isfinite(cdi.knn_entropy(q, k=3))
+
+
+def _tree_rho(z, k):
+    return cKDTree(z).query(z, k=k + 1)[0][:, k]
+
+
+def _exact_rho(z, k):
+    # brute force over (n, 1) samples; column 0 of each sorted row is the sample itself
+    return np.sort(np.abs(z - z.T), axis=1)[:, k]
+
+
+def _ulp_step(v):
+    return np.maximum(1e-12, 4.0 * np.spacing(np.abs(v)))
+
+
+def _absolute_step(v):
+    return np.full_like(v, 1e-12)
+
+
+def _reference_knn_entropy(z, k, rho=_tree_rho, step=_ulp_step):
+    """knn_entropy as it was before scalar samples were sorted: every
+    neighbor query goes through cKDTree.  `step` is the duplicate
+    displacement per unit of index + 1; `_absolute_step` is the old one."""
+    z = np.asarray(z, dtype=np.float64).reshape(len(z), -1)
+    n, m = z.shape
+    r = rho(z, k)
+    zero = r == 0.0
+    if zero.any():
+        jittered = z.copy()
+        idx = np.flatnonzero(zero)
+        jittered[idx] += step(z[idx]) * (idx[:, None] + 1.0)
+        r = rho(jittered, k)
+        if (r == 0.0).any():
+            raise ValueError("knn_entropy: duplicate samples persist after index jitter")
+    log_unit_ball = 0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0)
+    return float(digamma(n) - digamma(k) + log_unit_ball + (m / n) * np.log(r).sum())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+@st.composite
+def _sizes(draw):
+    n = draw(st.integers(2, 3000))
+    # a tree query costs about n * k, so k spans 1..n-1 on the smaller samples
+    return n, draw(st.integers(1, n - 1 if n <= 600 else 100))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nk=_sizes(), scale=st.floats(1e-3, 1e5), offset=st.floats(-1e6, 1e6),
+       quantum=st.sampled_from([0.0, 0.1, 0.5, 2.0]), seed=st.integers(0, 2 ** 32 - 1),
+       column=st.booleans())
+@example(nk=(30, 3), scale=1e-160, offset=0.0, quantum=0.0, seed=0, column=False)
+@example(nk=(3000, 2999), scale=1.0, offset=0.0, quantum=0.0, seed=1, column=True)
+@example(nk=(500, 3), scale=1.0, offset=-1e6, quantum=0.5, seed=8, column=False)
+def test_scalar_knn_entropy_matches_the_tree_bit_for_bit(nk, scale, offset, quantum, seed, column):
+    """Sorted scalar samples give the tree's distances and estimate bit for bit.
+
+    The tree takes sqrt(fl(d^2)), which is |d| unless d^2 underflows.  For
+    N(0, 1) * 1e-160 samples (n = 30, seed 0) it does: there the tree reads
+    -367.1281 and the exact |d| -367.1251, and the sort path must equal a
+    brute-force exact-|d| reference instead.  Rounded draws (`quantum`)
+    give ties and exact duplicates, which take the displacement path.
+    """
+    n, k = nk
+    x = np.random.default_rng(seed).normal(size=n) * scale
+    if quantum:
+        x = np.round(x / (quantum * scale)) * (quantum * scale)
+    x = x + offset
+    points = x[:, None]
+    gaps = np.diff(np.sort(x))
+    underflow = (gaps[gaps > 0] ** 2 < np.finfo(np.float64).tiny).any()
+    rho = _exact_rho if underflow else _tree_rho
+    np.testing.assert_array_equal(cdi._kth_neighbor_distance(points, k, 1), rho(points, k))
+    z = points if column else x
+    got = _outcome(cdi.knn_entropy, z, k)
+    assert got == _outcome(_reference_knn_entropy, z, k, rho)
+    if np.abs(x).max() < 1024:
+        # below 1024 the displacement is still the absolute 1e-12 per index
+        assert got == _outcome(_reference_knn_entropy, z, k, rho, _absolute_step)
+
+
+def test_cdi_demo_estimates_match_the_tree_routine(tmp_path, monkeypatch, capsys):
+    # all 11 estimates at the default n = 20000 and k = 3, each 1 full
+    # sample and 10 folds, compared as values rather than printed digits
+    runs = []
+
+    def recorded(estimate):
+        def run(m, x, k=3, workers=1):
+            runs[-1].append(estimate(m, x, k=k, workers=workers))
+            return runs[-1][-1]
+        return run
+
+    monkeypatch.setattr(cdi, "map_cdi_estimate", recorded(cdi.map_cdi_estimate))
+    runs.append([])
+    assert cli.main(["cdi-demo", "--out", str(tmp_path / "sorted")]) == 0
+    monkeypatch.setattr(cdi, "knn_entropy", lambda z, k=3, workers=1: _reference_knn_entropy(z, k))
+    runs.append([])
+    assert cli.main(["cdi-demo", "--out", str(tmp_path / "tree")]) == 0
+    capsys.readouterr()
+    assert len(runs[0]) == 11 and runs[0][0].n == 20000 and runs[0][0].k == 3
+    assert runs[0] == runs[1]
+
+
+def test_knn_entropy_duplicate_displacement_survives_large_values():
+    # an absolute 1e-12 step is rounded away once |x| > 2**14 for the first
+    # indices; a step of at least 4 ulps keeps the duplicates apart
+    q = np.round(np.random.default_rng(8).normal(size=500) * 2) / 2
+    for shift in (1e5, 1e6):
+        assert np.isfinite(cdi.knn_entropy(q + shift, k=3))
+        with pytest.raises(ValueError, match="persist"):
+            _reference_knn_entropy(q + shift, 3, step=_absolute_step)
+    # below 1024 the values are those of the absolute step
+    dup = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+    for v in (dup, q, q + 1e3):
+        assert cdi.knn_entropy(v, k=3) == _reference_knn_entropy(v, 3, step=_absolute_step)
+
+
+def test_bad_samples_are_value_errors():
+    gen = np.random.default_rng(7)
+    for m, bad in itertools.product((1, 2), (np.nan, np.inf, -np.inf)):
+        z = gen.normal(size=(1000, m))
+        z[3, m - 1] = bad
+        for sample in ((z[:, 0], z) if m == 1 else (z,)):
+            with pytest.raises(ValueError, match="must be finite"):
+                cdi.knn_entropy(sample)
+            with pytest.raises(ValueError, match="must be finite"):
+                cdi.cdi_estimate(sample, np.zeros(1000))
+    empty = np.zeros((1000, 0))
+    with pytest.raises(ValueError, match="no dimensions"):
+        cdi.knn_entropy(empty)
+    with pytest.raises(ValueError, match="no dimensions"):
+        cdi.cdi_estimate(empty, np.zeros(1000))
 
 
 def test_knn_entropy_workers_agree():

@@ -609,6 +609,17 @@ def test_divergent_training_is_exit_3_and_names_the_step(tmp_path, capsys):
     assert err.startswith("error: TrainingDivergedError: training diverged at step ")
 
 
+def test_degenerate_jacobian_in_training_is_exit_3_and_names_the_step(tmp_path, capsys):
+    cfg = _write(tmp_path / "train.cfg",
+                 "dataset=blobs:n=600,classes=3,dim=4,seed=1\nhidden=8\nrepresentation_dim=3\n"
+                 "mixture_components=3\nlr=1e6\nsteps=200\nbatch_size=64\neval_interval=25\n")
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run"), "--seed", "0"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == ("error: TrainingDivergedError: training diverged at step 2: "
+                   "degenerate Jacobian at sample index 4 of the loss sub-batch\n")
+
+
 def test_sgd_momentum_optimizer_trains(tmp_path, capsys):
     cfg = _train_cfg(tmp_path, extra="optimizer=sgd_momentum\nlr=1e-2\nvariational_lr=1e-2\n")
     rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run"), "--seed", "1"])

@@ -290,6 +290,27 @@ def test_singular_mixture_factor_is_typed_and_names_the_step(monkeypatch):
     assert info.value.step == 1 and info.value.term == term
 
 
+def test_degenerate_jacobian_is_typed_and_names_the_step_and_batch(monkeypatch):
+    train, _ = datamod.gaussian_blobs(64, 2, 3, 4.0, seed=1)
+    cfg_net = net.MlpConfig(input_dim=3, hidden_dims=(5,), output_dim=2)
+    cfg = tr.TrainConfig(method="mass", beta=1e-3, batch_size=16, steps=3, eval_interval=2,
+                         mixture_components=1)
+
+    def degenerate(*args, **kwargs):
+        raise net.DegenerateJacobianError("degenerate Jacobian at sample index 7")
+
+    monkeypatch.setattr(tr, "_eval_terms", degenerate)
+    term = "degenerate Jacobian at sample index 7 of the curve row"
+    with pytest.raises(tr.TrainingDivergedError, match=f"step 2: {term}") as info:
+        tr.train(train, None, cfg_net, cfg)
+    assert info.value.step == 2 and info.value.term == term
+
+    monkeypatch.setattr(tr, "mass_minibatch_loss", degenerate)
+    with pytest.raises(tr.TrainingDivergedError,
+                       match="step 1: degenerate Jacobian at sample index 7 of the loss sub-batch"):
+        tr.train(train, None, cfg_net, cfg)
+
+
 def test_eval_entropy_term_is_the_marginal_mean():
     x, y, params, mixture = _toy_problem(5, n=20)
     mixture = mx.fit_priors(mixture, y)
