@@ -16,7 +16,7 @@ Mutual information I(X; f(X)) after quantization is also provided for
 contrast: it grows without bound as the grid is refined, while C stays put.
 
 Scalar samples find their k-th neighbor distances with one sort; samples of
-two or more dimensions use scipy's `cKDTree`.
+two or more dimensions use scipy's `cKDTree`, queried in one thread.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _as_points(z) -> np.ndarray:
     return z
 
 
-def _kth_neighbor_distance(z: np.ndarray, k: int, workers: int) -> np.ndarray:
+def _kth_neighbor_distance(z: np.ndarray, k: int) -> np.ndarray:
     """(n,) distance from each row of z to its k-th nearest other row.
 
     For one dimension, the k nearest others of sorted value s[p] lie in one
@@ -58,7 +58,7 @@ def _kth_neighbor_distance(z: np.ndarray, k: int, workers: int) -> np.ndarray:
     """
     n, m = z.shape
     if m > 1:
-        return cKDTree(z).query(z, k=k + 1, workers=workers)[0][:, k]
+        return cKDTree(z).query(z, k=k + 1)[0][:, k]
     order = np.argsort(z[:, 0], kind="stable")
     s = z[order, 0]
     padded = np.concatenate((np.full(k, -np.inf), s, np.full(k, np.inf)))
@@ -73,7 +73,7 @@ def _kth_neighbor_distance(z: np.ndarray, k: int, workers: int) -> np.ndarray:
     return rho
 
 
-def knn_entropy(z, k: int = 3, workers: int = 1) -> float:
+def knn_entropy(z, k: int = 3) -> float:
     """Differential entropy in nats from samples, k-th nearest neighbor form.
 
     H ~= psi(n) - psi(k) + log V_m + (m/n) * sum_i log rho_i where rho_i is
@@ -83,9 +83,8 @@ def knn_entropy(z, k: int = 3, workers: int = 1) -> float:
     max(1e-12, 4 ulp of the value) before re-querying, so discrete repeats
     never produce log(0), however large; neighbor ties at equal distance
     are irrelevant because only distances enter the estimate.  Scalar
-    samples are handled by one sort; `workers` parallelizes the `cKDTree`
-    queries of samples with two or more dimensions and is ignored for one.
-    Samples must be finite.
+    samples are handled by one sort, samples of two or more dimensions by
+    one `cKDTree`.  Samples must be finite.
     """
     z = _as_points(z)
     n, m = z.shape
@@ -93,14 +92,14 @@ def knn_entropy(z, k: int = 3, workers: int = 1) -> float:
         raise ValueError("knn_entropy: k must be at least 1")
     if n <= k:
         raise ValueError(f"knn_entropy: need more than k={k} samples, got {n}")
-    rho = _kth_neighbor_distance(z, k, workers)
+    rho = _kth_neighbor_distance(z, k)
     zero = rho == 0.0
     if zero.any():
         jittered = z.copy()
         idx = np.flatnonzero(zero)
         step = np.maximum(1e-12, 4.0 * np.spacing(np.abs(z[idx])))
         jittered[idx] += step * (idx[:, None] + 1.0)
-        rho = _kth_neighbor_distance(jittered, k, workers)
+        rho = _kth_neighbor_distance(jittered, k)
         if (rho == 0.0).any():
             raise ValueError("knn_entropy: duplicate samples persist after index jitter")
     log_unit_ball = 0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0)
@@ -115,7 +114,7 @@ class CdiEstimate:
     k: int
 
 
-def cdi_estimate(fx, log_jac, k: int = 3, workers: int = 1) -> CdiEstimate:
+def cdi_estimate(fx, log_jac, k: int = 3) -> CdiEstimate:
     """Estimate C(X, f(X)) from samples of f(X) and per-sample log J_f(X).
 
     The standard error comes from re-estimating on 10 consecutive folds, so
@@ -128,9 +127,9 @@ def cdi_estimate(fx, log_jac, k: int = 3, workers: int = 1) -> CdiEstimate:
         raise ValueError("cdi_estimate: log_jac must be one value per sample")
     if n < 1000:
         raise ValueError(f"cdi_estimate: need at least 1000 samples, got {n}")
-    value = knn_entropy(fx, k, workers) - float(log_jac.mean())
+    value = knn_entropy(fx, k) - float(log_jac.mean())
     folds = np.array_split(np.arange(n), 10)
-    fold_vals = [knn_entropy(fx[idx], k, workers) - float(log_jac[idx].mean()) for idx in folds]
+    fold_vals = [knn_entropy(fx[idx], k) - float(log_jac[idx].mean()) for idx in folds]
     stderr = float(np.std(fold_vals, ddof=1) / math.sqrt(len(fold_vals)))
     return CdiEstimate(value=value, stderr=stderr, n=n, k=k)
 
@@ -228,10 +227,10 @@ def projection_samples(a, x: np.ndarray):
     return fx, log_jac
 
 
-def map_cdi_estimate(m: AnalyticMap, x: np.ndarray, k: int = 3, workers: int = 1) -> CdiEstimate:
+def map_cdi_estimate(m: AnalyticMap, x: np.ndarray, k: int = 3) -> CdiEstimate:
     """Run the estimator on an analytic map at the given input samples."""
     x = np.asarray(x, dtype=np.float64)
-    return cdi_estimate(m.fn(x), m.log_deriv(x), k=k, workers=workers)
+    return cdi_estimate(m.fn(x), m.log_deriv(x), k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command line front end: train / eval / ood / cdi-demo.
 
 Configuration comes from plain `key=value` files (one pair per line, `#`
-starts a comment); the four flags `--config`, `--seed`, `--threads` and
-`--out` are the whole flag surface.  Every run writes a `config.echo` file
+starts a comment); the three flags `--config`, `--seed` and `--out` are
+the whole flag surface.  Every run writes a `config.echo` file
 holding the fully resolved configuration, which reparses to the same
 values.  Exit codes: 0 success, 2 for configuration problems, 3 for
 runtime failures; stderr stays empty on success (warnings go to stdout).
@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -297,44 +298,25 @@ def _parse_hidden(raw: str) -> tuple:
 def cmd_train(args, out_dir: str) -> None:
     resolved = resolve_config(load_config(args.config), TRAIN_SCHEMA)
     train_ds = parse_dataset_spec(resolved["dataset"], "dataset")
-    test_ds = None
-    if resolved["test_dataset"]:
-        test_ds = parse_dataset_spec(resolved["test_dataset"], "test_dataset")
-        if test_ds.dim != train_ds.dim:
-            raise ConfigError("test_dataset: feature dimension differs from the training set")
-
-    method = resolved["method"]
-    if method not in ("mass", "softmaxce"):
-        raise ConfigError(f"key 'method': must be mass or softmaxce, got {method!r}")
-    if resolved["representation_dim"]:
-        rep_dim = _coerce("representation_dim", resolved["representation_dim"], "int")
-    elif method == "softmaxce":
-        rep_dim = train_ds.n_classes
-    else:
-        raise ConfigError("missing required config key 'representation_dim' (for method=mass)")
-    if method == "softmaxce" and rep_dim != train_ds.n_classes:
-        raise ConfigError(f"key 'representation_dim': softmaxce logits must have one column per "
-                          f"class ({train_ds.n_classes}), got {rep_dim}")
-    if method == "mass" and rep_dim > train_ds.dim:
-        raise ConfigError(f"key 'representation_dim': must not exceed the feature dimension "
-                          f"{train_ds.dim}, got {rep_dim}")
+    test_ds = (parse_dataset_spec(resolved["test_dataset"], "test_dataset")
+               if resolved["test_dataset"] else None)
 
     try:
+        # every TrainConfig field but seed and curve_path is the config key of its name
+        train_config = tr.TrainConfig(
+            **{f.name: resolved[f.name] for f in fields(tr.TrainConfig) if f.name in resolved},
+            seed=args.seed, curve_path=os.path.join(out_dir, "curves.csv"))
+        # a bad method is named as such, not as a missing representation_dim
+        train_config.validate()
+        rep_raw = resolved["representation_dim"]
+        if not rep_raw and train_config.method == "mass":
+            raise ConfigError("missing required config key 'representation_dim' (for method=mass)")
+        rep_dim = _coerce("representation_dim", rep_raw, "int") if rep_raw else train_ds.n_classes
         net_config = net.MlpConfig(
             input_dim=train_ds.dim, hidden_dims=_parse_hidden(resolved["hidden"]),
             output_dim=rep_dim, nonlinearity=resolved["nonlinearity"],
             dropout_rate=resolved["dropout"], use_batchnorm=resolved["batchnorm"])
-        train_config = tr.TrainConfig(
-            method=method, beta=resolved["beta"], lr=resolved["lr"],
-            variational_lr=resolved["variational_lr"], batch_size=resolved["batch_size"],
-            steps=resolved["steps"], optimizer=resolved["optimizer"],
-            subsample_jacobian=resolved["subsample_jacobian"], jitter=resolved["jitter"],
-            seed=args.seed, eval_interval=resolved["eval_interval"],
-            mixture_components=resolved["mixture_components"], mean_scale=resolved["mean_scale"],
-            clip_norm=resolved["clip_norm"], curve_path=os.path.join(out_dir, "curves.csv"))
-        train_config.validate()
-        tr.check_curve_fit_counts(train_ds.labels, train_ds.n_classes, train_config)
-        tr._check_batch_rows(train_ds.n, net_config, train_config)
+        tr.check_run(train_ds, test_ds, net_config, train_config)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -344,7 +326,7 @@ def cmd_train(args, out_dir: str) -> None:
     except datamod.NormalizationError as e:
         raise ConfigError(f"dataset: {e}") from None
     save_checkpoint(os.path.join(out_dir, "model.ckpt"), result.checkpoint)
-    print(f"trained {method} for {train_config.steps} steps on {train_ds.name} "
+    print(f"trained {train_config.method} for {train_config.steps} steps on {train_ds.name} "
           f"(n={train_ds.n}, d={train_ds.dim}, classes={train_ds.n_classes})")
     if result.curve_rows:
         print("final curve row: " + result.curve_rows[-1])
@@ -427,9 +409,9 @@ def cmd_cdi_demo(args, out_dir: str) -> None:
     identity = cdimod.AnalyticMap("identity", lambda v: v, lambda v: np.zeros_like(v),
                                   True, cdimod.STD_NORMAL_ENTROPY)
     catalog = cdimod.analytic_map_catalog()
-    estimates = {"identity": cdimod.map_cdi_estimate(identity, x, k=k, workers=args.threads)}
+    estimates = {"identity": cdimod.map_cdi_estimate(identity, x, k=k)}
     for name, m in catalog.items():
-        estimates[name] = cdimod.map_cdi_estimate(m, x, k=k, workers=args.threads)
+        estimates[name] = cdimod.map_cdi_estimate(m, x, k=k)
 
     def row(name, est, reference, verdict):
         ref = "" if math.isnan(reference) else f"{reference:.12g}"
@@ -444,7 +426,7 @@ def cmd_cdi_demo(args, out_dir: str) -> None:
     # one must lose some; the composite of two folds shows equality again
     for inner_name, outer_name in (("scale2", "affine3"), ("scale2", "abs"), ("abs", "xabs")):
         composite = cdimod.compose(catalog[outer_name], catalog[inner_name])
-        down = cdimod.map_cdi_estimate(composite, x, k=k, workers=args.threads)
+        down = cdimod.map_cdi_estimate(composite, x, k=k)
         verdict = cdimod.dpi_verdict(estimates[inner_name], down)
         rows.append(row(composite.name, down, composite.reference_cdi, verdict))
 
@@ -477,10 +459,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value configuration file")
         p.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-        p.add_argument("--threads", type=int, default=1,
-                       help="threads for the k-NN neighbor search of samples with two "
-                            "or more dimensions; cdi-demo's maps are all scalar, so it "
-                            "does not use them")
         p.add_argument("--out", required=True, help="output directory for artifacts")
     return parser
 
@@ -489,9 +467,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command != "cdi-demo" and args.config is None:
         print(f"config error: {args.command} needs --config", file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("config error: --threads must be at least 1", file=sys.stderr)
         return 2
     out_dir = os.path.abspath(args.out)
     try:

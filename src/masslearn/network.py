@@ -61,12 +61,14 @@ class MlpConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1 or self.output_dim < 1 or any(h < 1 for h in self.hidden_dims):
-            raise ValueError("MlpConfig: all dimensions must be positive")
+        for name, value in (("input_dim", self.input_dim), ("output_dim", self.output_dim),
+                            ("hidden_dims", min(self.hidden_dims, default=1))):
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.nonlinearity not in ("elu", "identity"):
-            raise ValueError(f"MlpConfig: unknown nonlinearity {self.nonlinearity!r}")
+            raise ValueError(f"nonlinearity must be elu or identity, got {self.nonlinearity!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("MlpConfig: dropout_rate must be in [0, 1)")
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def layer_dims(self):

@@ -71,15 +71,15 @@ class TrainConfig:
                 raise ValueError(f"{key} must be nonnegative, got {value}")
             if key in ("lr", "variational_lr", "clip_norm") and value <= 0:
                 raise ValueError(f"{key} must be positive, got {value}")
-        if self.batch_size < 1 or self.steps < 0 or self.eval_interval < 1:
-            raise ValueError("batch_size and eval_interval must be positive, steps nonnegative")
-        if self.mixture_components < 1:
-            raise ValueError("mixture_components must be positive")
+        for key, low in (("batch_size", 1), ("steps", 0), ("eval_interval", 1),
+                         ("mixture_components", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
 
 
 class TrainingDivergedError(RuntimeError):
-    """A training step gave a non-finite loss or gradient norm, a singular
-    mixture factor, or a degenerate Jacobian in its loss sub-batch or curve row."""
+    """A training step gave a non-finite loss, gradient norm or curve term, a
+    singular mixture factor, or a degenerate Jacobian in its loss sub-batch or curve row."""
 
     def __init__(self, step: int, term: str):
         super().__init__(f"training diverged at step {step}: {term}")
@@ -253,6 +253,30 @@ def _check_batch_rows(n: int, net_config: net.MlpConfig, cfg: TrainConfig) -> No
                          "one row, which batchnorm cannot normalize")
 
 
+def check_run(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
+              net_config: net.MlpConfig, cfg: TrainConfig) -> None:
+    """Every rule a run must meet before step 1; raise ValueError naming the
+    config key.  `train` calls it first, and the CLI before it writes a file."""
+    cfg.validate()
+    r, d, n_classes = net_config.output_dim, train_ds.dim, train_ds.n_classes
+    if net_config.input_dim != d:
+        raise ValueError(f"input_dim must equal the {d} feature columns of dataset, "
+                         f"got {net_config.input_dim}")
+    if cfg.method == "softmaxce" and r != n_classes:
+        raise ValueError(f"representation_dim (output_dim) must equal the class count "
+                         f"{n_classes} for softmaxce, got {r}")
+    if cfg.method == "mass" and r > d:
+        raise ValueError(f"representation_dim (output_dim) must not exceed the {d} feature "
+                         f"columns of dataset for mass, got {r}")
+    if test_ds is not None and test_ds.dim != d:
+        raise ValueError(f"test_dataset must have the {d} feature columns of dataset, got {test_ds.dim}")
+    if test_ds is not None and test_ds.n_classes > n_classes:
+        raise ValueError(f"test_dataset must have at most the {n_classes} classes of dataset, "
+                         f"got {test_ds.n_classes}")
+    check_curve_fit_counts(train_ds.labels, n_classes, cfg)
+    _check_batch_rows(train_ds.n, net_config, cfg)
+
+
 def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
           net_config: net.MlpConfig, cfg: TrainConfig) -> TrainResult:
     """Train a classifier; deterministic in cfg.seed.
@@ -261,14 +285,8 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
     final step.  Returns the final checkpoint carrying the normalization
     statistics of the training set.
     """
-    cfg.validate()
+    check_run(train_ds, test_ds, net_config, cfg)
     n_classes = train_ds.n_classes
-    if cfg.method == "softmaxce" and net_config.output_dim != n_classes:
-        raise ValueError("softmaxce: network output_dim must equal the class count")
-    if cfg.method == "mass" and net_config.output_dim > net_config.input_dim:
-        raise ValueError("mass: output_dim must not exceed input_dim (Jacobian term)")
-    check_curve_fit_counts(train_ds.labels, n_classes, cfg)
-    _check_batch_rows(train_ds.n, net_config, cfg)
     if cfg.subsample_jacobian and cfg.batch_size < net_config.output_dim:
         warnings.warn("batch_size below output_dim: the subsampled J term averages a single sample")
 
@@ -300,6 +318,7 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
         curve_fh.write(CURVE_HEADER + "\n")
     amgm_violations = 0
     eval_slice = slice(0, min(cfg.batch_size, train_ds.n))
+    r_above_d = net_config.output_dim > net_config.input_dim
     fitted_eval_mix = None  # warm start for the softmaxce term curves
 
     def write_row(step):
@@ -317,6 +336,10 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
             eval_mix = fitted_eval_mix
         cond, ent, jac, viol = _eval_terms(net_params, eval_mix, train_x[eval_slice],
                                            train_y[eval_slice], train_z[eval_slice], cfg)
+        # jac is nan by definition when r > d; any other non-finite term diverged
+        if not np.isfinite([cond, ent, 0.0 if r_above_d else jac]).all():
+            raise TrainingDivergedError(step, f"curve row terms cond_entropy={cond}, "
+                                              f"entropy={ent}, neg_log_jacobian={-jac}")
         amgm_violations += viol
         if cfg.method == "mass":
             tr_probs = mx.class_posterior(eval_mix, train_z)

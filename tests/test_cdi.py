@@ -137,7 +137,7 @@ def test_scalar_knn_entropy_matches_the_tree_bit_for_bit(nk, scale, offset, quan
     gaps = np.diff(np.sort(x))
     underflow = (gaps[gaps > 0] ** 2 < np.finfo(np.float64).tiny).any()
     rho = _exact_rho if underflow else _tree_rho
-    np.testing.assert_array_equal(cdi._kth_neighbor_distance(points, k, 1), rho(points, k))
+    np.testing.assert_array_equal(cdi._kth_neighbor_distance(points, k), rho(points, k))
     z = points if column else x
     got = _outcome(cdi.knn_entropy, z, k)
     assert got == _outcome(_reference_knn_entropy, z, k, rho)
@@ -152,15 +152,15 @@ def test_cdi_demo_estimates_match_the_tree_routine(tmp_path, monkeypatch, capsys
     runs = []
 
     def recorded(estimate):
-        def run(m, x, k=3, workers=1):
-            runs[-1].append(estimate(m, x, k=k, workers=workers))
+        def run(m, x, k=3):
+            runs[-1].append(estimate(m, x, k=k))
             return runs[-1][-1]
         return run
 
     monkeypatch.setattr(cdi, "map_cdi_estimate", recorded(cdi.map_cdi_estimate))
     runs.append([])
     assert cli.main(["cdi-demo", "--out", str(tmp_path / "sorted")]) == 0
-    monkeypatch.setattr(cdi, "knn_entropy", lambda z, k=3, workers=1: _reference_knn_entropy(z, k))
+    monkeypatch.setattr(cdi, "knn_entropy", lambda z, k=3: _reference_knn_entropy(z, k))
     runs.append([])
     assert cli.main(["cdi-demo", "--out", str(tmp_path / "tree")]) == 0
     capsys.readouterr()
@@ -197,11 +197,6 @@ def test_bad_samples_are_value_errors():
         cdi.knn_entropy(empty)
     with pytest.raises(ValueError, match="no dimensions"):
         cdi.cdi_estimate(empty, np.zeros(1000))
-
-
-def test_knn_entropy_workers_agree():
-    z = np.random.default_rng(9).normal(size=(3000, 2))
-    assert cdi.knn_entropy(z, k=3, workers=2) == cdi.knn_entropy(z, k=3, workers=1)
 
 
 def test_invertible_maps_conserve_input_entropy():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -403,6 +404,62 @@ def test_one_row_batch_under_batchnorm_is_exit_2(tmp_path, capsys):
                          "--out", str(out)]) == 0
 
 
+_RULE_BASE = ("dataset=blobs:n=120,classes=3,dim=4,seed=1\nhidden=6\nbatch_size=16\nsteps=3\n"
+              "mixture_components=2\n")
+# one broken run rule each: the config lines, then the TrainConfig fields and
+# the MlpConfig output_dim of the same run (40 rows per class; 120 % 119
+# leaves a one-row batch)
+_BROKEN_RULES = [
+    ("method=foo\nrepresentation_dim=2", dict(method="foo"), 2),
+    ("lr=0\nrepresentation_dim=2", dict(lr=0.0), 2),
+    ("method=softmaxce\nrepresentation_dim=4", dict(method="softmaxce"), 4),
+    ("representation_dim=5", {}, 5),
+    ("method=softmaxce\nmixture_components=41", dict(method="softmaxce", mixture_components=41), 3),
+    ("representation_dim=2\nbatch_size=119", dict(batch_size=119), 2),
+    ("representation_dim=2\ntest_dataset=blobs:n=60,classes=3,dim=5,seed=2", {}, 2),
+    ("representation_dim=2\ntest_dataset=blobs:n=60,classes=5,dim=4,seed=2", {}, 2),
+]
+
+
+def _rule_run(tmp_path, lines):
+    """The _RULE_BASE config with `lines` replacing its keys: (keys, config path)."""
+    raw = {**cli.parse_kv_text(_RULE_BASE), **cli.parse_kv_text(lines)}
+    return raw, _write(tmp_path / "run.cfg", "".join(f"{k}={v}\n" for k, v in raw.items()))
+
+
+@pytest.mark.parametrize("lines,train_fields,output_dim", _BROKEN_RULES)
+def test_each_run_rule_reads_the_same_from_train_and_the_cli(tmp_path, capsys, monkeypatch,
+                                                             lines, train_fields, output_dim):
+    raw, cfg_path = _rule_run(tmp_path, lines)
+    train_ds = cli.parse_dataset_spec(raw["dataset"], "dataset")
+    test_ds = (cli.parse_dataset_spec(raw["test_dataset"], "test_dataset")
+               if "test_dataset" in raw else None)
+    net_config = net.MlpConfig(4, (6,), output_dim, use_batchnorm=True)
+    cfg = tr.TrainConfig(**{"batch_size": 16, "steps": 3, "mixture_components": 2, **train_fields})
+    with monkeypatch.context() as m:
+        m.setattr(datamod, "normalize_fit", lambda *a: pytest.fail("the features were normalized"))
+        with pytest.raises(ValueError) as caught:
+            tr.train(train_ds, test_ds, net_config, cfg)
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {caught.value}\n"
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("lines,why", [
+    ("representation_dim=0", "output_dim must be positive, got 0"),
+    ("representation_dim=2\nhidden=0", "hidden_dims must be positive, got 0"),
+    ("representation_dim=2\nhidden=-3", "hidden_dims must be positive, got -3"),
+    ("representation_dim=2\ndropout=1", "dropout_rate must be in [0, 1), got 1.0"),
+    ("representation_dim=2\nnonlinearity=relu", "nonlinearity must be elu or identity, got 'relu'"),
+])
+def test_network_config_errors_name_the_field_and_value(tmp_path, capsys, lines, why):
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", _rule_run(tmp_path, lines)[1], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {why}\n"
+    assert os.listdir(out) == []
+
+
 def test_mass_beta_zero_and_softmaxce_both_run(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -565,15 +622,6 @@ def test_cdi_demo_k_must_leave_each_fold_more_than_k_samples(tmp_path, capsys, n
     assert err.startswith("config error: key 'k': ") and f"n // 10 = {n // 10}, got {k}" in err
 
 
-def test_cdi_demo_threads_do_not_change_results(tmp_path, capsys):
-    cfg = _write(tmp_path / "cdi.cfg", "n=1500\n")
-    out_a, out_b = tmp_path / "t1", tmp_path / "t2"
-    assert cli.main(["cdi-demo", "--config", cfg, "--out", str(out_a), "--threads", "1"]) == 0
-    assert cli.main(["cdi-demo", "--config", cfg, "--out", str(out_b), "--threads", "4"]) == 0
-    capsys.readouterr()
-    assert (out_a / "cdi.csv").read_text() == (out_b / "cdi.csv").read_text()
-
-
 def test_missing_config_flag_is_exit_2(tmp_path, capsys):
     rc = cli.main(["train", "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
@@ -628,6 +676,119 @@ def test_sgd_momentum_optimizer_trains(tmp_path, capsys):
     rows = (tmp_path / "run" / "curves.csv").read_text().splitlines()[1:]
     assert len(rows) == 2
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:3])
+
+
+# the values of each train key that the README documents or that make a valid
+# run, and the edge values; huge values only for rates and scales, and every
+# size small enough that no example allocates much memory
+_FUZZ_VALID = {
+    "method": ["mass", "softmaxce"],
+    "hidden": ["", "6", "16", "8,4", "400,400", "400,200"],
+    "nonlinearity": ["elu", "identity"],
+    "batchnorm": ["true", "false", "1", "0", "yes", "no"],
+    "dropout": ["0.0", "0.2", "0.5"],
+    "beta": ["0.001", "0.0", "1.0"],
+    "lr": ["0.0005", "0.005", "0.01"],
+    "variational_lr": ["2.5e-05", "0.01"],
+    "batch_size": ["2", "16", "64", "256"],
+    "steps": ["0", "1", "2", "3"],
+    "optimizer": ["adam", "sgd_momentum"],
+    "subsample_jacobian": ["true", "false"],
+    "jitter": ["1e-12", "0", "1e-08"],
+    "eval_interval": ["1", "2", "100"],
+    "mixture_components": ["1", "2", "3", "10"],
+    "mean_scale": ["1.0", "0.25", "0"],
+    "clip_norm": ["100.0", "1.0"],
+}
+# (spec, classes, feature columns); the valid test_dataset and
+# representation_dim values follow from the drawn dataset
+_FUZZ_DATASETS = [("blobs:n=120,classes=3,dim=4,seed=1", 3, 4),
+                  ("blobs:n=48,classes=2,dim=3,seed=2", 2, 3),
+                  ("blobs:n=36,classes=3,dim=2,sep=4.0,seed=31", 3, 2),
+                  ("blobs:n=60,classes=4,dim=6,seed=3,shift=2.5", 4, 6)]
+_FUZZ_EDGE = ["0", "1", "-1", "-3", "nan", "inf", "-inf", "", "x", "1.5", "true"]
+_FUZZ_HUGE = ["1e30", "1e200", "1e308"]
+_FUZZ_EDGE_BY_KEY = {
+    **{key: _FUZZ_HUGE for key in ("beta", "lr", "variational_lr", "mean_scale", "clip_norm")},
+    "dataset": ["blobs:n=2,classes=3", "blobs:n=3,classes=3,dim=2", "blobs:classes=1",
+                "blobs:n=60,dim=1", "blobs:n=60,sep=nan", "blobs:n=60,sep=inf",
+                "blobs:n=300,classes=3,dim=4,seed=1,sep=1e300", "blobs:n=x", "cache:", "cifar10"],
+    "test_dataset": ["blobs:n=60,classes=3,dim=5,seed=2", "blobs:n=60,classes=5,dim=4,seed=2",
+                     "blobs:n=60,classes=3,dim=4,sep=1e300"],
+    "hidden": ["8,0", "8,-3", "8,", ",", "a,b", "300,1"],
+}
+# every name an exit-2 line may name
+_FUZZ_NAMES = set(cli.TRAIN_SCHEMA) | {"hidden_dims", "input_dim", "output_dim", "dropout_rate"}
+
+
+@st.composite
+def _train_configs(draw):
+    """A train config of valid values with at most two keys at an edge value;
+    some keys are left out and take their defaults, never steps."""
+    spec, classes, dim = draw(st.sampled_from(_FUZZ_DATASETS))
+    method = draw(st.sampled_from(_FUZZ_VALID["method"]))
+    valid = {**_FUZZ_VALID, "method": [method], "dataset": [spec],
+             "test_dataset": ["", f"blobs:n=30,classes={classes},dim={dim},seed=9"],
+             "representation_dim": (["", str(classes)] if method == "softmaxce"
+                                    else [str(r) for r in range(1, dim + 1)])}
+    edged = draw(st.sets(st.sampled_from(sorted(cli.TRAIN_SCHEMA)), max_size=2))
+    config = {}
+    for key, values in valid.items():
+        if key in edged:
+            config[key] = draw(st.sampled_from(_FUZZ_EDGE + _FUZZ_EDGE_BY_KEY.get(key, [])))
+        elif key in ("method", "dataset", "representation_dim", "steps") or draw(st.booleans()):
+            config[key] = draw(st.sampled_from(values))
+    return config
+
+
+def _fuzz_base(**overrides):
+    return {"dataset": "blobs:n=120,classes=3,dim=4,seed=1", "hidden": "6",
+            "representation_dim": "2", "batch_size": "16", "steps": "3",
+            "mixture_components": "2", **overrides}
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None,
+          max_examples=80)
+@given(config=_train_configs())
+@example(config=_fuzz_base(test_dataset="blobs:n=60,classes=3,dim=5,seed=2"))
+@example(config=_fuzz_base(test_dataset="blobs:n=60,classes=5,dim=4,seed=2"))
+@example(config=_fuzz_base(representation_dim="0"))
+@example(config=_fuzz_base(hidden="0"))
+@example(config=_fuzz_base(hidden="-3"))
+@example(config=_fuzz_base(lr="1e308"))
+@example(config=_fuzz_base(variational_lr="1e308"))
+@example(config=_fuzz_base(mean_scale="1e200"))
+@example(config=_fuzz_base(beta="1e308"))
+@example(config=_fuzz_base(dataset="blobs:n=300,classes=3,dim=4,seed=1,sep=1e300"))
+@example(config=_fuzz_base(dataset="blobs:n=600,classes=3,dim=4,seed=1", hidden="8",
+                           representation_dim="3", mixture_components="3", lr="1e6",
+                           batch_size="64"))
+@example(config=_fuzz_base(lr="1e3", variational_lr="1e3"))
+def test_train_config_fuzz_exits_cleanly(tmp_path_factory, capsys, config):
+    out = tmp_path_factory.mktemp("fuzz")
+    text = "".join(f"{key}={value}\n" for key, value in config.items())
+    capsys.readouterr()
+    rc = cli.main(["train", "--config", _write(out / "train.cfg", text), "--out", str(out / "o")])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    lines = captured.err.splitlines()
+    if rc == 0:
+        assert captured.err == ""
+        ckpt = load_checkpoint(out / "o" / "model.ckpt")
+        header, *rows = (out / "o" / "curves.csv").read_text().splitlines()
+        # documented nan columns: no test set, and no Jacobian when r > d
+        may_be_nan = {"test_acc": not config.get("test_dataset"),
+                      "neg_log_jacobian": ckpt.net.config.output_dim > ckpt.net.config.input_dim}
+        for row in rows:
+            for name, value in zip(header.split(","), row.split(",")):
+                assert math.isfinite(float(value)) or may_be_nan.get(name), (name, row)
+    elif rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert any(re.search(rf"\b{name}\b", lines[0]) for name in _FUZZ_NAMES), lines
+    else:
+        assert rc == 3, (rc, lines)
+        assert len(lines) == 1, lines
+        assert re.match(r"error: TrainingDivergedError: training diverged at step [1-9]", lines[0])
 
 
 def test_installed_entry_point(tmp_path):

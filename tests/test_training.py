@@ -709,6 +709,27 @@ def test_train_validates_shapes():
     tr.TrainConfig(beta=0.0, jitter=0.0).validate()
 
 
+def test_dataset_shape_rules_are_checked_before_normalizing(monkeypatch):
+    train, _ = datamod.gaussian_blobs(120, 3, 4, 4.0, 1)
+    cfg_net = net.MlpConfig(input_dim=4, hidden_dims=(6,), output_dim=2)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the features were normalized")
+
+    monkeypatch.setattr(datamod, "normalize_fit", no_fit)
+    cfg = tr.TrainConfig(batch_size=16, steps=2, mixture_components=2)
+    wide, _ = datamod.gaussian_blobs(60, 3, 5, 4.0, 2)
+    with pytest.raises(ValueError, match=r"^test_dataset must have the 4 feature columns of "
+                                         r"dataset, got 5$"):
+        tr.train(train, wide, cfg_net, cfg)
+    more_classes, _ = datamod.gaussian_blobs(60, 5, 4, 4.0, 2)
+    with pytest.raises(ValueError, match=r"^test_dataset must have at most the 3 classes of "
+                                         r"dataset, got 5$"):
+        tr.train(train, more_classes, cfg_net, cfg)
+    with pytest.raises(ValueError, match=r"^input_dim must equal the 4 feature columns"):
+        tr.train(train, None, net.MlpConfig(input_dim=5, hidden_dims=(6,), output_dim=2), cfg)
+
+
 def test_one_row_batches_under_batchnorm_are_rejected_before_step_one(monkeypatch):
     train, _ = datamod.gaussian_blobs(129, 3, 4, 4.0, 1)  # 129 = 2 * 64 + 1
     bn = net.MlpConfig(input_dim=4, hidden_dims=(6,), output_dim=2, use_batchnorm=True)
