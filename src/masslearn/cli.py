@@ -33,6 +33,11 @@ class ConfigError(Exception):
     pass
 
 
+class NonFiniteOutputError(RuntimeError):
+    """The model gave a non-finite probability or score for a sample whose
+    features were finite: they overflow the network after normalization."""
+
+
 # ---------------------------------------------------------------------------
 # key=value parsing
 
@@ -195,12 +200,9 @@ def parse_dataset_spec(spec: str, key: str) -> datamod.Dataset:
     ds = _build_dataset(spec, key)
     if ds.n == 0 or ds.dim == 0:
         raise ConfigError(f"{key}: dataset is empty ({ds.n} rows, {ds.dim} feature columns)")
-    # NaN propagates through min and max, and an infinity shows in one of
-    # them; only a failure pays for the (n, d) mask that names the row
-    f = ds.features
-    if not (np.isfinite(f.min()) and np.isfinite(f.max())):
-        finite = np.isfinite(f).all(axis=1)
-        raise ConfigError(f"{key}: non-finite feature in row {int(np.argmin(finite))}")
+    row = datamod.first_non_finite_row(ds.features)
+    if row is not None:
+        raise ConfigError(f"{key}: non-finite feature in row {row}")
     return ds
 
 
@@ -257,6 +259,12 @@ def _check_dims(ckpt, ds: datamod.Dataset, key: str) -> None:
     if ds.dim != ckpt.net.config.input_dim:
         raise ConfigError(f"{key}: dataset has {ds.dim} features but the model expects "
                           f"{ckpt.net.config.input_dim}")
+
+
+def _check_outputs(values: np.ndarray, key: str, what: str) -> None:
+    row = datamod.first_non_finite_row(values)
+    if row is not None:
+        raise NonFiniteOutputError(f"{key}: non-finite {what} at sample index {row}")
 
 
 def _normalized(ckpt, ds: datamod.Dataset) -> np.ndarray:
@@ -346,6 +354,7 @@ def cmd_eval(args, out_dir: str) -> None:
     write_config_echo(out_dir, "eval", resolved)
 
     probs = tr.predict_probabilities(ckpt, _normalized(ckpt, ds))
+    _check_outputs(probs, "dataset", "class probability")
     entropy = metrics.predictive_entropy(probs)
     _write_report(out_dir, [
         ("accuracy", metrics.accuracy(probs, ds.labels)),
@@ -376,6 +385,8 @@ def cmd_ood(args, out_dir: str) -> None:
     except ValueError as e:
         raise ConfigError(f"score: {e}") from None
     write_config_echo(out_dir, "ood", resolved)
+    _check_outputs(scores_in, "dataset_in", f"{score_name} score")
+    _check_outputs(scores_out, "dataset_out", f"{score_name} score")
 
     _write_report(out_dir, [
         ("auroc", metrics.auroc(scores_in, scores_out)),

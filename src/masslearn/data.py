@@ -4,12 +4,12 @@ normalization, seeded batch iteration, and a bit-exact cache format.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm as _normal_dist
 
 from . import container
 from . import rng as rngmod
@@ -121,8 +121,8 @@ def bayes_accuracy(spec: BlobSpec, n_samples: int, seed: int) -> float:
 
 
 def two_class_bayes_accuracy(separation: float) -> float:
-    """Closed form for C=2: Phi(separation/2)."""
-    return float(_normal_dist.cdf(separation / 2.0))
+    """Closed form for C=2: Phi(separation/2) = erfc(-separation/(2 sqrt 2))/2."""
+    return 0.5 * math.erfc(-separation / (2.0 * math.sqrt(2.0)))
 
 
 def load_cifar10(dir_path, split: str, limit: int | None = None) -> Dataset:
@@ -170,6 +170,15 @@ def load_cifar10(dir_path, split: str, limit: int | None = None) -> Dataset:
     if labels.max() > 9:
         raise ValueError("load_cifar10: label byte above 9, file is not CIFAR-10")
     return Dataset(name=f"cifar10-{split}", features=features, labels=labels, n_classes=10)
+
+
+def first_non_finite_row(a: np.ndarray) -> int | None:
+    """Index of the first row of a holding a nan or infinity, or None.  NaN
+    propagates through min and max, and an infinity shows in one of them;
+    only a failure pays for the mask that names the row."""
+    if a.size == 0 or (np.isfinite(a.min()) and np.isfinite(a.max())):
+        return None
+    return int(np.argmin(np.isfinite(a).reshape(len(a), -1).all(axis=1)))
 
 
 @dataclass

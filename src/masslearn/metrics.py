@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.special import xlogy
-from scipy.stats import rankdata
 
 from . import mixtures as mx
 from . import network as net
@@ -63,14 +62,31 @@ def predictive_entropy(probs) -> np.ndarray:
     return -xlogy(probs, probs).sum(axis=1)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of NaN-free x, each tie group at its mean rank: the
+    group filling sorted places [start, end) gets (start + end + 1) / 2,
+    exact in float64, so the ranks equal scipy.stats.rankdata's bit for bit."""
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], s.size)
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def auroc(scores_a, scores_b) -> float:
     """P(a > b) + 0.5 * P(a == b) for random a from the first group and b
-    from the second, computed with average ranks so ties are exact."""
+    from the second, computed with average ranks so ties are exact; nan if
+    any score is nan."""
     scores_a = np.asarray(scores_a, dtype=np.float64)
     scores_b = np.asarray(scores_b, dtype=np.float64)
     if scores_a.size == 0 or scores_b.size == 0:
         raise ValueError("auroc: both score groups must be nonempty")
-    ranks = rankdata(np.concatenate([scores_a, scores_b]))
+    scores = np.concatenate([scores_a, scores_b])
+    if np.isnan(scores).any():
+        return float("nan")
+    ranks = _average_ranks(scores)
     n_a, n_b = scores_a.size, scores_b.size
     return float((ranks[:n_a].sum() - n_a * (n_a + 1) / 2.0) / (n_a * n_b))
 

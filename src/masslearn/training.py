@@ -78,8 +78,9 @@ class TrainConfig:
 
 
 class TrainingDivergedError(RuntimeError):
-    """A training step gave a non-finite loss, gradient norm or curve term, a
-    singular mixture factor, or a degenerate Jacobian in its loss sub-batch or curve row."""
+    """A training step gave a non-finite loss, gradient norm, curve term or
+    test-set class probability, a singular mixture factor, or a degenerate
+    Jacobian in its loss sub-batch or curve row."""
 
     def __init__(self, step: int, term: str):
         super().__init__(f"training diverged at step {step}: {term}")
@@ -349,6 +350,11 @@ def train(train_ds: datamod.Dataset, test_ds: datamod.Dataset | None,
             tr_probs = softmax_probabilities(train_z)
             te_probs = (softmax_probabilities(net.forward_fast(net_params, test_x, mode="eval"))
                         if test_ds is not None else None)
+        # test rows enter none of the terms checked above and can overflow on their own
+        bad = datamod.first_non_finite_row(te_probs) if te_probs is not None else None
+        if bad is not None:
+            raise TrainingDivergedError(step, f"non-finite class probability at test set "
+                                              f"sample index {bad}")
         tr_acc = _accuracy(tr_probs, train_y)
         te_acc = _accuracy(te_probs, test_y) if te_probs is not None else float("nan")
         row = _format_row(step, cond, ent, jac, tr_acc, te_acc)

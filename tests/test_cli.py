@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -789,6 +791,182 @@ def test_train_config_fuzz_exits_cleanly(tmp_path_factory, capsys, config):
         assert rc == 3, (rc, lines)
         assert len(lines) == 1, lines
         assert re.match(r"error: TrainingDivergedError: training diverged at step [1-9]", lines[0])
+
+
+_OVERFLOW_BLOBS = "blobs:n=60,classes=3,dim=4,sep=1e300"  # finite features the network overflows on
+
+
+@pytest.fixture(scope="module")
+def blob_checkpoint(tmp_path_factory):
+    """A mass checkpoint trained for 4 steps on blobs:n=120,classes=3,dim=4,seed=1."""
+    out = tmp_path_factory.mktemp("blob_ckpt")
+    config = _fuzz_base(hidden="16", mixture_components="3", batch_size="32", steps="4")
+    text = "".join(f"{key}={value}\n" for key, value in config.items())
+    assert cli.main(["train", "--config", _write(out / "train.cfg", text), "--out", str(out / "run")]) == 0
+    return str(out / "run" / "model.ckpt")
+
+
+def test_train_curve_row_with_non_finite_test_probabilities_is_exit_3(tmp_path, capsys):
+    config = _fuzz_base(test_dataset=_OVERFLOW_BLOBS, hidden="16", mixture_components="3",
+                        batch_size="32", steps="4", eval_interval="2")
+    text = "".join(f"{key}={value}\n" for key, value in config.items())
+    rc = cli.main(["train", "--config", _write(tmp_path / "t.cfg", text), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == ("error: TrainingDivergedError: training diverged at step 2: non-finite class "
+                   "probability at test set sample index 0\n")
+
+
+def test_eval_on_non_finite_model_outputs_is_exit_3(tmp_path, capsys, blob_checkpoint):
+    cfg = _write(tmp_path / "e.cfg", f"checkpoint={blob_checkpoint}\ndataset={_OVERFLOW_BLOBS}\n")
+    rc = cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == ("error: NonFiniteOutputError: dataset: non-finite class probability at "
+                   "sample index 0\n")
+    assert not (tmp_path / "o" / "report.txt").exists()
+
+
+def test_ood_on_non_finite_model_outputs_is_exit_3(tmp_path, capsys, blob_checkpoint):
+    cfg = _write(tmp_path / "o.cfg", f"checkpoint={blob_checkpoint}\ndataset_in={_FUZZ_DATASETS[0][0]}\n"
+                                     f"dataset_out={_OVERFLOW_BLOBS}\nscore=marginal_q\n")
+    rc = cli.main(["ood", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == ("error: NonFiniteOutputError: dataset_out: non-finite marginal_q score at "
+                   "sample index 0\n")
+    assert not (tmp_path / "o" / "report.txt").exists()
+
+
+# valid values and edge values of the eval, ood and cdi-demo keys; "{ckpt}"
+# stands for the module's checkpoint and "{dir}" for a directory.  n stays
+# below any size whose samples would need much memory.
+_SCORING_VALID_DATASETS = [_FUZZ_DATASETS[0][0], "blobs:n=60,classes=3,dim=4,seed=2",
+                           "blobs:n=30,classes=2,dim=4,seed=3",
+                           "blobs:n=48,classes=3,dim=4,seed=0,shift=2.5"]
+_SCORING_EDGE_DATASETS = ["blobs:n=0,classes=3,dim=4", "blobs:n=1,classes=3,dim=4",
+                          "blobs:n=-1,dim=4", "blobs:n=60,classes=3,dim=4,sep=nan",
+                          "blobs:n=60,classes=3,dim=4,sep=inf", _OVERFLOW_BLOBS,
+                          "blobs:n=60,classes=3,dim=4,shift=1e300",
+                          "blobs:n=60,classes=3,dim=4,shift=-1e300",
+                          "blobs:n=60,classes=3,dim=4,shift=1e30", "blobs:n=60,classes=5,dim=4",
+                          "blobs:n=60,classes=3,dim=5", "blobs:n=60,classes=0,dim=4",
+                          "blobs:n=x,dim=4", "blobs:n=1.5,dim=4", "blobs:n=60,dim=4,sep=",
+                          "blobs:n=60,dim=4,bogus=1", "", "cache:", "cache:{dir}", "cifar10", "0"]
+_SCORING_VALUES = {
+    "eval": {"checkpoint": (["{ckpt}"], ["", "0", "missing.ckpt", "{dir}", "{dir}/cfg"]),
+             "dataset": (_SCORING_VALID_DATASETS, _SCORING_EDGE_DATASETS)},
+    "ood": {"checkpoint": (["{ckpt}"], ["", "0", "missing.ckpt", "{dir}", "{dir}/cfg"]),
+            "dataset_in": (_SCORING_VALID_DATASETS, _SCORING_EDGE_DATASETS),
+            "dataset_out": (_SCORING_VALID_DATASETS, _SCORING_EDGE_DATASETS),
+            "score": (list(metrics.OOD_SCORE_NAMES), ["", "x", "0", "MAX_Q", "nan"])},
+    "cdi-demo": {"n": (["1000", "1200", "2000"],
+                       ["0", "1", "-1", "999", "nan", "inf", "", "x", "1.5", "true", "1e30"]),
+                 "k": (["1", "3", "5", "99"],
+                       ["0", "-1", "100", "200", "nan", "", "x", "1.5", "100000000000000000000"])},
+}
+
+
+@st.composite
+def _scoring_configs(draw):
+    """(command, config): valid values with at most two keys at an edge
+    value; a key may be left out, required or not."""
+    command = draw(st.sampled_from(sorted(_SCORING_VALUES)))
+    edged = draw(st.sets(st.sampled_from(sorted(_SCORING_VALUES[command])), max_size=2))
+    config = {}
+    for key, (valid, edge) in _SCORING_VALUES[command].items():
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        config[key] = draw(st.sampled_from(edge if key in edged else valid))
+    return command, config
+
+
+def _finite_report(path):
+    report = dict(line.split("=", 1) for line in path.read_text().splitlines())
+    assert all(math.isfinite(float(v)) for k, v in report.items() if k != "method"), report
+
+
+def _finite_cdi_csv(path):
+    header, *rows = path.read_text().splitlines()
+    assert header == "name,n,k,estimate,stderr,reference,verdict"
+    for row in rows:
+        _, _, _, estimate, stderr, reference, _ = row.split(",")
+        assert math.isfinite(float(estimate)) and math.isfinite(float(stderr)), row
+        assert reference == "" or math.isfinite(float(reference)), row
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None,
+          max_examples=100)
+@given(command_config=_scoring_configs())
+@example(command_config=("eval", {"checkpoint": "{ckpt}", "dataset": _OVERFLOW_BLOBS}))
+@example(command_config=("ood", {"checkpoint": "{ckpt}", "dataset_in": _FUZZ_DATASETS[0][0],
+                                 "dataset_out": _OVERFLOW_BLOBS, "score": "marginal_q"}))
+def test_scoring_config_fuzz_exits_cleanly(tmp_path_factory, capsys, blob_checkpoint, command_config):
+    command, config = command_config
+    schemas = {"eval": cli.EVAL_SCHEMA, "ood": cli.OOD_SCHEMA, "cdi-demo": cli.CDI_DEMO_SCHEMA}
+    assert set(_SCORING_VALUES[command]) == set(schemas[command])
+    out = tmp_path_factory.mktemp("fuzz")
+    _write(out / "cfg", "n=1000\n")
+    text = "".join(f"{key}={value}\n" for key, value in config.items())
+    text = text.replace("{ckpt}", blob_checkpoint).replace("{dir}", str(out))
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc = cli.main([command, "--config", _write(out / "run.cfg", text), "--out", str(out / "o")])
+    assert time.perf_counter() - start <= 60.0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    lines = captured.err.splitlines()
+    if rc == 0:
+        assert captured.err == ""
+        if command == "cdi-demo":
+            _finite_cdi_csv(out / "o" / "cdi.csv")
+        else:
+            _finite_report(out / "o" / "report.txt")
+    elif rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert any(re.search(rf"\b{key}\b", lines[0]) for key in _SCORING_VALUES[command]), lines
+    else:
+        assert rc == 3, (rc, lines)
+        assert len(lines) == 1, lines
+        assert re.match(r"error: \w+Error: .*sample index \d+$", lines[0]), lines
+
+
+# a command that loads one of these pays about 0.5 s more at start-up; the
+# script checks sys.modules after the import and after each command
+_HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.spatial")
+_IMPORT_GUARD_SCRIPT = """
+import json, os, sys
+from masslearn import cli
+
+heavy, out = json.loads(sys.argv[1]), sys.argv[2]
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+
+def run(command, text):
+    path = os.path.join(out, command + ".cfg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    code = cli.main([command, "--config", path, "--out", os.path.join(out, command)])
+    loaded[command] = [m for m in heavy if m in sys.modules] + ([] if code == 0 else [code])
+
+blobs = "blobs:n=120,classes=3,dim=4,seed=1"
+run("cdi-demo", "n=1000\\nk=3\\n")
+run("train", f"dataset={blobs}\\nhidden=6\\nrepresentation_dim=2\\nbatch_size=16\\nsteps=2\\n"
+             "mixture_components=2\\n")
+ckpt = os.path.join(out, "train", "model.ckpt")
+run("eval", f"checkpoint={ckpt}\\ndataset={blobs}\\n")
+run("ood", f"checkpoint={ckpt}\\ndataset_in={blobs}\\ndataset_out={blobs},shift=3\\nscore=max_q\\n")
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_never_load_the_heavy_scipy_subpackages(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD_SCRIPT, json.dumps(_HEAVY_SCIPY),
+                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {step: [] for step in ("import", "cdi-demo", "train", "eval", "ood")}, loaded
 
 
 def test_installed_entry_point(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import norm
 
 from masslearn import checkpoint as ckpt_mod
 from masslearn import cli
@@ -105,6 +106,21 @@ def test_two_class_bayes_oracle():
     closed = data.two_class_bayes_accuracy(4.0)
     assert closed == pytest.approx(0.9772498680518208, abs=1e-12)
     assert mc == pytest.approx(closed, abs=0.002)
+
+
+def test_two_class_bayes_accuracy_matches_the_normal_cdf():
+    for sep in np.linspace(-10.0, 40.0, 2001):
+        assert abs(data.two_class_bayes_accuracy(sep) - norm.cdf(sep / 2.0)) <= 4e-16, sep
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (5,), (5, 3)])
+def test_first_non_finite_row(shape):
+    a = np.zeros(shape)
+    assert data.first_non_finite_row(a) is None
+    for bad in (np.nan, np.inf, -np.inf) if a.size else ():
+        b = a.copy()
+        b[3] = b[4] = bad
+        assert data.first_non_finite_row(b) == 3
 
 
 def _write_cifar_fixture(root, n_files=2, records=6, seed=0):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import rankdata
 
 from masslearn import metrics
 from masslearn import mixtures as mx
@@ -84,6 +85,30 @@ def test_auroc_matches_pair_counting():
     b = np.round(gen.normal(size=23) * 2) / 2
     wins = sum(1.0 if x > y else 0.5 if x == y else 0.0 for x in a for y in b)
     assert abs(metrics.auroc(a, b) - wins / (37 * 23)) < 1e-12
+
+
+# rounded scores tie often; the signed zeros and infinities tie or order as floats do
+_TIED_SCORES = st.lists(st.one_of(
+    st.integers(-20, 20).map(lambda i: i / 4.0),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf])), min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=_TIED_SCORES)
+@example(scores=[0.0, -0.0, np.inf, -np.inf, 1.0, 1.0, np.inf])
+def test_average_ranks_equal_rankdata_bit_for_bit(scores):
+    x = np.array(scores)
+    assert metrics._average_ranks(x).tobytes() == rankdata(x).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_TIED_SCORES, b=_TIED_SCORES, data=st.data())
+@example(a=[1.0, np.nan], b=[0.5], data=None)
+def test_auroc_is_nan_whenever_a_score_is_nan(a, b, data):
+    if data is not None:
+        side = data.draw(st.sampled_from([a, b]))
+        side[data.draw(st.integers(0, len(side) - 1))] = np.nan
+    assert math.isnan(metrics.auroc(a, b))
 
 
 def test_auroc_monotone_invariance_and_swap():
