@@ -17,8 +17,9 @@ contrast: it grows without bound as the grid is refined, while C stays put.
 
 Scalar samples find their k-th neighbor distances with one sort; samples of
 two or more dimensions use scipy's `cKDTree`, queried in one thread and
-imported only when such samples arrive, so scalar callers never load
-`scipy.spatial`.
+imported only when such samples arrive, so scalar callers never load scipy.
+The digamma and log-gamma values the estimator needs are computed here, by
+ports of the cephes routines scipy runs, and match scipy bit for bit.
 """
 
 from __future__ import annotations
@@ -28,10 +29,71 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma, gammaln, xlogy
 
 # entropy of a standard normal in one dimension, 0.5*log(2*pi*e)
 STD_NORMAL_ENTROPY = 0.5 * math.log(2.0 * math.pi * math.e)
+
+_EULER = 0.577215664901532860606512090082402431
+# cephes psi's asymptotic series in 1/x^2, highest degree first
+_PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
+          -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
+          8.33333333333333333333e-2)
+# cephes lgam: B / C* on [2, 3) (C* monic) and the Stirling correction A
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _horner(x: float, coefs, value: float) -> float:
+    for c in coefs:
+        value = value * x + c
+    return value
+
+
+def _psi(n: int) -> float:
+    """Digamma at a positive integer n, as cephes `psi` computes it, so it
+    equals scipy's digamma(n) bit for bit: the harmonic sum for n <= 10, the
+    asymptotic series above."""
+    if n <= 10:
+        y = 0.0
+        for i in range(1, n):
+            y += 1.0 / i
+        return y - _EULER
+    x = float(n)
+    z = 1.0 / (x * x)
+    return math.log(x) - 0.5 / x - z * _horner(z, _PSI_A[1:], _PSI_A[0])
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) for x > 0, as cephes `lgam` computes it, so it equals
+    scipy's gammaln(x) bit for bit: below 13 the recurrence into [2, 3) and
+    a rational fit there, from 13 on Stirling's series."""
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _horner(x, _LGAM_B[1:], _LGAM_B[0]) / _horner(x, _LGAM_C, 1.0)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _horner(p, _LGAM_A[1:], _LGAM_A[0]) / x
 
 
 def _as_points(z) -> np.ndarray:
@@ -65,11 +127,13 @@ def _kth_neighbor_distance(z: np.ndarray, k: int) -> np.ndarray:
     s = z[order, 0]
     padded = np.concatenate((np.full(k, -np.inf), s, np.full(k, np.inf)))
     rho_sorted = np.full(n, np.inf)
+    below, above = np.empty(n), np.empty(n)  # reused: no temporaries in the loop
     for j in range(k + 1):
         # the run starting j places below p; padding makes runs past an end inf
-        lo = padded[k - j:k - j + n]
-        hi = padded[2 * k - j:2 * k - j + n]
-        np.minimum(rho_sorted, np.maximum(s - lo, hi - s), out=rho_sorted)
+        np.subtract(s, padded[k - j:k - j + n], out=below)
+        np.subtract(padded[2 * k - j:2 * k - j + n], s, out=above)
+        np.maximum(below, above, out=below)
+        np.minimum(rho_sorted, below, out=rho_sorted)
     rho = np.empty(n)
     rho[order] = rho_sorted
     return rho
@@ -104,8 +168,8 @@ def knn_entropy(z, k: int = 3) -> float:
         rho = _kth_neighbor_distance(jittered, k)
         if (rho == 0.0).any():
             raise ValueError("knn_entropy: duplicate samples persist after index jitter")
-    log_unit_ball = 0.5 * m * math.log(math.pi) - gammaln(0.5 * m + 1.0)
-    return float(digamma(n) - digamma(k) + log_unit_ball + (m / n) * np.log(rho).sum())
+    log_unit_ball = 0.5 * m * math.log(math.pi) - _lgam(0.5 * m + 1.0)
+    return float(_psi(n) - _psi(k) + log_unit_ball + (m / n) * np.log(rho).sum())
 
 
 @dataclass
@@ -202,7 +266,7 @@ def shifted_fold_entropy(c: float) -> float:
     """
     y = 0.05 * np.arange(801)
     p = (np.exp(-0.5 * (y + c) ** 2) + np.exp(-0.5 * (y - c) ** 2)) / math.sqrt(2.0 * math.pi)
-    return float(np.trapezoid(-xlogy(p, p), dx=0.05))
+    return float(np.trapezoid(-p * np.log(p, out=np.zeros_like(p), where=p > 0), dx=0.05))
 
 
 def projection_cdi_reference(a: np.ndarray) -> float:

@@ -9,7 +9,6 @@ for in/out discrimination.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import mixtures as mx
 from . import network as net
@@ -59,7 +58,7 @@ def accuracy(probs, labels) -> float:
 def predictive_entropy(probs) -> np.ndarray:
     """(n,) entropy of each predictive distribution, with 0*log(0) = 0."""
     probs = _check_probs(probs)
-    return -xlogy(probs, probs).sum(axis=1)
+    return -(probs * np.log(probs, out=np.zeros_like(probs), where=probs > 0)).sum(axis=1)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

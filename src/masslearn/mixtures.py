@@ -27,11 +27,11 @@ on that class's own rows, in plain numpy with no tape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from . import optim
@@ -146,6 +146,26 @@ def class_log_density(means: np.ndarray, chol_raw: np.ndarray, weight_logits: np
     return np.stack(cols, axis=1)
 
 
+def _libm_exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) with libm's exp, which is how scipy's expit computes
+    it, so the two agree bit for bit (numpy's vectorized exp differs from
+    libm's in the last bit on some inputs).  Where exp(-x) overflows the
+    result is 0, as in scipy."""
+    neg = np.negative(x).ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, neg), float, len(neg))
+    except OverflowError:
+        e = np.fromiter(map(_libm_exp, neg), float, len(neg))
+    return 1.0 / (1.0 + e.reshape(x.shape))
+
+
 def _class_vjp(l_fac_c, inv_c, raw_c, log_w_c, y, comp, out_c, g_c, g_sum, need_z: bool):
     """Gradients of sum_i g_c[i] out_c[i] for one class c at its points, where
     y, comp = _class_terms(...) there and out_c is their log density; g_sum is
@@ -168,7 +188,7 @@ def _class_vjp(l_fac_c, inv_c, raw_c, log_w_c, y, comp, out_c, g_c, g_sum, need_
     d_l = np.tril(np.swapaxes(inv_c, 1, 2) @ (hy.transpose(1, 2, 0) @ y.transpose(1, 0, 2)))
     diag = d_l.reshape(n_comp, r * r)[:, ::r + 1]  # a writable view of the K diagonals
     diag -= h_sum[:, None] / np.diagonal(l_fac_c, axis1=1, axis2=2)
-    diag *= expit(np.diagonal(raw_c, axis1=1, axis2=2))
+    diag *= _expit(np.diagonal(raw_c, axis1=1, axis2=2))
     return d_z, d_means, d_l, h_sum - np.exp(log_w_c) * g_sum
 
 

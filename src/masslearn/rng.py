@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; every command draws from it
 
 # Stream names used by training and the CLI. Free-form names are fine too;
 # these are the ones with a documented meaning.

@@ -14,6 +14,18 @@ STD_H = 1.4189385332046727       # 0.5*log(2*pi*e)
 FOLDED_H = 0.7257913526447274    # STD_H - log 2
 
 
+def test_psi_port_equals_digamma_bit_for_bit():
+    ns = list(range(1, 3001)) + np.random.default_rng(0).integers(1, 10**7, 5000).tolist()
+    assert [n for n in ns if cdi._psi(n) != digamma(n)] == []
+
+
+def test_lgam_port_equals_gammaln_bit_for_bit():
+    rng = np.random.default_rng(1)
+    xs = [m / 2 + 1 for m in range(1, 5001)] + (1e4 - rng.uniform(0.0, 1e4, 5000)).tolist()
+    xs += rng.uniform(0.0, 13.0, 5000).tolist() + [1e-300, 2.0, 3.0, 13.0, 1000.0, 1e8, 1e9]
+    assert [x for x in xs if x > 0 and cdi._lgam(x) != gammaln(x)] == []
+
+
 def test_knn_entropy_standard_normal():
     x = np.random.default_rng(0).normal(size=20000)
     assert abs(cdi.knn_entropy(x, k=3) - STD_H) < 0.02

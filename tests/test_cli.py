@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from masslearn import cdi
 from masslearn import checkpoint
 from masslearn import cli
 from masslearn import container
@@ -616,6 +617,28 @@ def test_cdi_demo_rows_and_determinism(tmp_path, capsys):
     assert (out_c / "cdi.csv").read_text() != text
 
 
+def test_cdi_demo_writes_every_closed_form_reference(tmp_path, capsys):
+    # a nan reference is written as an empty cell, so a reference broken to
+    # nan would pass unseen; only a fold after an invertible map has none
+    cfg = _write(tmp_path / "cdi.cfg", "n=1000\nk=3\n")
+    assert cli.main(["cdi-demo", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    catalog = cdi.analytic_map_catalog()
+    expected = {"identity": cdi.STD_NORMAL_ENTROPY,
+                **{name: m.reference_cdi for name, m in catalog.items()}}
+    for inner, outer in (("scale2", "affine3"), ("scale2", "abs"), ("abs", "xabs")):
+        composite = cdi.compose(catalog[outer], catalog[inner])
+        expected[composite.name] = composite.reference_cdi
+    rows = [line.split(",") for line in (tmp_path / "c" / "cdi.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == list(expected)
+    for name, *_, reference, _ in rows:
+        if name == "abs(scale2)":
+            assert reference == ""
+        else:
+            assert math.isfinite(expected[name]), name
+            assert reference == f"{expected[name]:.12g}", name
+
+
 @pytest.mark.parametrize("n,k", [(1000, 100), (1000, 150), (1999, 199)])
 def test_cdi_demo_k_must_leave_each_fold_more_than_k_samples(tmp_path, capsys, n, k):
     cfg = _write(tmp_path / "cdi.cfg", f"n={n}\nk={k}\n")
@@ -931,22 +954,29 @@ def test_scoring_config_fuzz_exits_cleanly(tmp_path_factory, capsys, blob_checkp
         assert re.match(r"error: \w+Error: .*sample index \d+$", lines[0]), lines
 
 
-# a command that loads one of these pays about 0.5 s more at start-up; the
-# script checks sys.modules after the import and after each command
-_HEAVY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.spatial")
+# importing scipy.special alone took about 0.25 s of a 0.4 s start-up, and
+# scipy.stats more; no command needs any of scipy (cKDTree serves only
+# samples of two or more dimensions, which no command draws).  The script
+# lists the loaded modules under these packages after the import and after
+# each command.
+_HEAVY_SCIPY = ("scipy",)
 _IMPORT_GUARD_SCRIPT = """
 import json, os, sys
 from masslearn import cli
 
 heavy, out = json.loads(sys.argv[1]), sys.argv[2]
-loaded = {"import": [m for m in heavy if m in sys.modules]}
+
+def heavy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in heavy)
+
+loaded = {"import": heavy_loaded(), "numpy.random": "numpy.random" in sys.modules}
 
 def run(command, text):
     path = os.path.join(out, command + ".cfg")
     with open(path, "w") as fh:
         fh.write(text)
     code = cli.main([command, "--config", path, "--out", os.path.join(out, command)])
-    loaded[command] = [m for m in heavy if m in sys.modules] + ([] if code == 0 else [code])
+    loaded[command] = heavy_loaded() + ([] if code == 0 else [code])
 
 blobs = "blobs:n=120,classes=3,dim=4,seed=1"
 run("cdi-demo", "n=1000\\nk=3\\n")
@@ -966,6 +996,8 @@ def test_commands_never_load_the_heavy_scipy_subpackages(tmp_path):
                            str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
+    # numpy.random is loaded at import, not by the first command that draws
+    assert loaded.pop("numpy.random") is True
     assert loaded == {step: [] for step in ("import", "cdi-demo", "train", "eval", "ood")}, loaded
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import xlogy
 from scipy.stats import rankdata
 
 from masslearn import metrics
@@ -70,6 +71,19 @@ def test_predictive_entropy_closed_forms():
                                [2.302585092994046] * 2, rtol=0, atol=1e-12)
     onehot = np.eye(3)[[2]]
     assert metrics.predictive_entropy(onehot)[0] == 0.0
+
+
+def test_predictive_entropy_matches_xlogy():
+    # numpy's log may differ from libm's by an ulp, so per-row sums may move
+    # at round-off; exact 0s must still give 0*log(0) = 0, and 1s nothing
+    rng = np.random.default_rng(11)
+    probs = rng.dirichlet(np.full(10, 0.3), size=5000)
+    probs[rng.random(probs.shape) < 0.2] = 0.0
+    probs[:100] = np.eye(10)[rng.integers(0, 10, 100)]
+    probs /= probs.sum(axis=1, keepdims=True)
+    got = metrics.predictive_entropy(probs)
+    assert np.isfinite(got).all() and (got[:100] == 0.0).all()
+    assert np.abs(got - -xlogy(probs, probs).sum(axis=1)).max() <= 4e-15
 
 
 def test_auroc_extremes_and_ties():

@@ -17,6 +17,17 @@ def unit_mixture(n_classes=1, n_components=1, dim=1, seed=0):
     return m
 
 
+def test_vjp_sigmoid_equals_expit_bit_for_bit():
+    edges = np.array([700.0, 709.7, 709.8, 745.0, 1e308, np.inf])
+    x = np.concatenate([np.random.default_rng(2).normal(size=100000) * 5, edges, -edges,
+                        [0.0, np.nan]])
+    np.testing.assert_array_equal(mx._expit(x), expit(x))
+    # the VJP passes a (K, r) strided view of the diagonals
+    raw = np.random.default_rng(3).normal(size=(4, 5, 5)) * 5
+    diag = np.diagonal(raw, axis1=1, axis2=2)
+    np.testing.assert_array_equal(mx._expit(diag), expit(diag))
+
+
 def test_standard_normal_log_density():
     m = unit_mixture()
     got = mx.mixture_log_density(m, 0, np.array([0.0]))
