@@ -293,6 +293,22 @@ def _write_report(out_dir: str, items: list) -> str:
     return path
 
 
+# scores.csv rows formatted per write: the whole file at once would hold
+# every row's text in memory
+_SCORE_ROWS_PER_WRITE = 8192
+
+
+def _write_score_rows(fh, row_format: str, *columns) -> None:
+    """Write row_format % (i, columns[0][i], ...) for every row index i.
+    Each block of rows is turned into Python scalars with one `tolist` per
+    column: their %d and %.12g give the text an f-string gives on the numpy
+    scalars, without a numpy scalar per cell."""
+    for start in range(0, len(columns[0]), _SCORE_ROWS_PER_WRITE):
+        block = [col[start:start + _SCORE_ROWS_PER_WRITE].tolist() for col in columns]
+        rows = zip(range(start, start + len(block[0])), *block)
+        fh.write("".join(map(row_format.__mod__, rows)))
+
+
 def _parse_hidden(raw: str) -> tuple:
     raw = raw.strip()
     if not raw:
@@ -367,8 +383,7 @@ def cmd_eval(args, out_dir: str) -> None:
     p_true = probs[np.arange(ds.n), ds.labels]
     with open(os.path.join(out_dir, "scores.csv"), "w") as fh:
         fh.write("index,label,predicted,p_true,entropy\n")
-        for i in range(ds.n):
-            fh.write(f"{i},{ds.labels[i]},{predicted[i]},{p_true[i]:.12g},{entropy[i]:.12g}\n")
+        _write_score_rows(fh, "%d,%d,%d,%.12g,%.12g\n", ds.labels, predicted, p_true, entropy)
 
 
 def cmd_ood(args, out_dir: str) -> None:
@@ -398,10 +413,8 @@ def cmd_ood(args, out_dir: str) -> None:
     ])
     with open(os.path.join(out_dir, "scores.csv"), "w") as fh:
         fh.write("split,index,score\n")
-        for i, s in enumerate(scores_in):
-            fh.write(f"in,{i},{s:.12g}\n")
-        for i, s in enumerate(scores_out):
-            fh.write(f"out,{i},{s:.12g}\n")
+        _write_score_rows(fh, "in,%d,%.12g\n", scores_in)
+        _write_score_rows(fh, "out,%d,%.12g\n", scores_out)
 
 
 def cmd_cdi_demo(args, out_dir: str) -> None:

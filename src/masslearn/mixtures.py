@@ -92,8 +92,29 @@ def _as_points(z, dim: int) -> np.ndarray:
 
 
 def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
-    shift = m.max(axis=1)
-    return np.log(np.exp(m - shift[:, None]).sum(axis=1)) + shift
+    """log sum_j exp(m[:, j]) for each row of an (N, C) array, shifted by the row max.
+
+    Below 8 columns it runs one column at a time over all rows: a reduction
+    along a narrow row axis costs numpy more per row than the arithmetic, and
+    there numpy's `sum(axis=1)` adds the columns left to right, so the column
+    sum gives the same bits.  The subtraction and exp still run once on the
+    whole array, so a floating-point event is raised as often as before.
+    From 8 columns numpy sums a row with 8 partial accumulators, which a
+    column loop does not reproduce, so that case (and C = 0, which raises)
+    keeps the row reduction.
+    """
+    n_cols = m.shape[1]
+    if not 0 < n_cols < 8:
+        shift = m.max(axis=1)
+        return np.log(np.exp(m - shift[:, None]).sum(axis=1)) + shift
+    shift = m[:, 0].copy()
+    for j in range(1, n_cols):
+        np.maximum(shift, m[:, j], out=shift)
+    e = np.exp(m - shift[:, None])
+    total = e[:, 0].copy()
+    for j in range(1, n_cols):
+        total += e[:, j]
+    return np.log(total) + shift
 
 
 def tri_inverse(l_fac: np.ndarray) -> np.ndarray:
@@ -139,8 +160,13 @@ def _log_weights(weight_logits: np.ndarray) -> np.ndarray:
 def class_log_density(means: np.ndarray, chol_raw: np.ndarray, weight_logits: np.ndarray,
                       z: np.ndarray) -> np.ndarray:
     """(N, C) of log q(z_i | y = c) from the three parameter tensors, no priors applied."""
+    return _class_log_density(means, _factors(chol_raw), weight_logits, z)
+
+
+def _class_log_density(means, factors, weight_logits, z) -> np.ndarray:
+    """`class_log_density` with the factors `_factors(chol_raw)` given."""
     log_w = _log_weights(weight_logits)
-    _, inv, sumlog = _factors(chol_raw)
+    _, inv, sumlog = factors
     cols = [_logsumexp_rows(_class_terms(means[c], inv[c], sumlog[c], z)[1] + log_w[c])
             for c in range(means.shape[0])]
     return np.stack(cols, axis=1)
@@ -192,12 +218,14 @@ def _class_vjp(l_fac_c, inv_c, raw_c, log_w_c, y, comp, out_c, g_c, g_sum, need_
     return d_z, d_means, d_l, h_sum - np.exp(log_w_c) * g_sum
 
 
-def _class_log_density_vjp(means, chol_raw, weight_logits, z, out, g, need_z: bool = True):
+def _class_log_density_vjp(means, chol_raw, weight_logits, z, out, g, need_z: bool = True,
+                           factors=None):
     """Gradients of sum(g * out) in z, means, chol_raw, weight_logits, where
     out = class_log_density(...); the z gradient is None unless need_z.
+    factors are `_factors(chol_raw)` when the forward pass kept them.
     One `_class_vjp` per class over all N points."""
     log_w = _log_weights(weight_logits)
-    l_fac, inv, sumlog = _factors(chol_raw)
+    l_fac, inv, sumlog = _factors(chol_raw) if factors is None else factors
     d_z = np.zeros_like(z) if need_z else None
     d_means = np.empty_like(means)
     d_raw = np.empty_like(chol_raw)
@@ -291,12 +319,14 @@ def density_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], m: ClassConditional
     labels = np.asarray(labels, dtype=np.int64)
     params = [pnodes[name] for name in mixture_param_arrays(m)]
     arrays = [p.value for p in params]
+    means, chol_raw, weight_logits = arrays
     z = z_node.value
-    value = class_log_density(*arrays, z)
+    factors = _factors(chol_raw)
+    value = _class_log_density(means, factors, weight_logits, z)
     need_z = z_node.op != "const"
     class_cond = ad.first_order(
         (z_node, *params), value,
-        lambda g: _class_log_density_vjp(*arrays, z, value, g, need_z), "mixture_density")
+        lambda g: _class_log_density_vjp(*arrays, z, value, g, need_z, factors), "mixture_density")
 
     with np.errstate(divide="ignore"):
         log_priors = np.log(m.class_priors)

@@ -212,7 +212,11 @@ def _block(cfg: MlpConfig, z: np.ndarray, bn, mask):
     elu = cfg.nonlinearity == "elu"
     out = u
     if elu:  # expm1(u) below 0, u above, in one output array
-        out = np.expm1(u)
+        # expm1 sees 0 on the lanes u replaces, so a large u cannot overflow
+        # there.  Of two equal arguments np.minimum returns the second, so
+        # u = -0.0 stays -0.0 here; np.minimum(u, 0.0) would make it +0.0.
+        out = np.minimum(0.0, u)
+        np.expm1(out, out=out)
         np.copyto(out, u, where=u > 0)
     if mask is not None:
         out = out * mask

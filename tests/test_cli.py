@@ -766,6 +766,14 @@ def _train_configs(draw):
     return config
 
 
+# the README quick start, cut to 200 steps
+_README_TRAIN = {"dataset": "blobs:n=1536,classes=3,dim=2,sep=4.0,seed=31",
+                 "test_dataset": "blobs:n=600,classes=3,dim=2,sep=4.0,seed=32", "hidden": "16",
+                 "representation_dim": "2", "mixture_components": "3", "beta": "0.001",
+                 "lr": "5e-3", "variational_lr": "2e-2", "batch_size": "64", "steps": "200",
+                 "eval_interval": "500"}
+
+
 def _fuzz_base(**overrides):
     return {"dataset": "blobs:n=120,classes=3,dim=4,seed=1", "hidden": "6",
             "representation_dim": "2", "batch_size": "16", "steps": "3",
@@ -789,6 +797,8 @@ def _fuzz_base(**overrides):
                            representation_dim="3", mixture_components="3", lr="1e6",
                            batch_size="64"))
 @example(config=_fuzz_base(lr="1e3", variational_lr="1e3"))
+@example(config={**_README_TRAIN, "lr": "1e3"})
+@example(config={**_README_TRAIN, "lr": "1e6"})
 def test_train_config_fuzz_exits_cleanly(tmp_path_factory, capsys, config):
     out = tmp_path_factory.mktemp("fuzz")
     text = "".join(f"{key}={value}\n" for key, value in config.items())
@@ -799,6 +809,8 @@ def test_train_config_fuzz_exits_cleanly(tmp_path_factory, capsys, config):
     lines = captured.err.splitlines()
     if rc == 0:
         assert captured.err == ""
+        # a numpy floating-point event; the package's own warnings may stay
+        assert "encountered in" not in captured.out, captured.out
         ckpt = load_checkpoint(out / "o" / "model.ckpt")
         header, *rows = (out / "o" / "curves.csv").read_text().splitlines()
         # documented nan columns: no test set, and no Jacobian when r > d
@@ -859,6 +871,78 @@ def test_ood_on_non_finite_model_outputs_is_exit_3(tmp_path, capsys, blob_checkp
     assert err == ("error: NonFiniteOutputError: dataset_out: non-finite marginal_q score at "
                    "sample index 0\n")
     assert not (tmp_path / "o" / "report.txt").exists()
+
+
+# the per-row writers scores.csv had before it was written in blocks; the
+# file must keep these bytes
+def _reference_eval_scores(labels, predicted, p_true, entropy):
+    rows = [f"{i},{labels[i]},{predicted[i]},{p_true[i]:.12g},{entropy[i]:.12g}\n"
+            for i in range(len(labels))]
+    return "index,label,predicted,p_true,entropy\n" + "".join(rows)
+
+
+def _reference_ood_scores(scores_in, scores_out):
+    return ("split,index,score\n" + "".join(f"in,{i},{s:.12g}\n" for i, s in enumerate(scores_in))
+            + "".join(f"out,{i},{s:.12g}\n" for i, s in enumerate(scores_out)))
+
+
+def _first_different_line(got, want):
+    """None when the texts are equal, else (line number, got's line, want's line);
+    a plain == on texts of many lines makes pytest diff them all on failure."""
+    if got == want:
+        return None
+    got, want = got.splitlines(keepends=True) + [""], want.splitlines(keepends=True) + [""]
+    i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+    return i, got[i], want[i]
+
+
+def test_scores_csv_keeps_the_per_row_bytes(tmp_path, capsys, blob_checkpoint):
+    block = cli._SCORE_ROWS_PER_WRITE
+    n = 2 * block + 77  # more than one block, and not a whole number of blocks
+    spec_in = f"blobs:n={n},classes=3,dim=4,seed=5"
+    spec_out = f"blobs:n={block + 1},classes=3,dim=4,seed=6,shift=2.0"
+    ckpt = load_checkpoint(blob_checkpoint)
+
+    def normalized(spec):
+        ds = cli.parse_dataset_spec(spec, "dataset")
+        return ds, datamod.normalize_apply(ds.features, ckpt.norm)
+
+    cfg = _write(tmp_path / "e.cfg", f"checkpoint={blob_checkpoint}\ndataset={spec_in}\n")
+    assert cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+    ds, x = normalized(spec_in)
+    probs = tr.predict_probabilities(ckpt, x)
+    want = _reference_eval_scores(ds.labels, probs.argmax(axis=1), probs[np.arange(n), ds.labels],
+                                  metrics.predictive_entropy(probs))
+    assert _first_different_line((tmp_path / "e" / "scores.csv").read_text(), want) is None
+
+    for score in metrics.OOD_SCORE_NAMES:
+        cfg = _write(tmp_path / "o.cfg", f"checkpoint={blob_checkpoint}\ndataset_in={spec_in}\n"
+                                         f"dataset_out={spec_out}\nscore={score}\n")
+        assert cli.main(["ood", "--config", cfg, "--out", str(tmp_path / score)]) == 0
+        want = _reference_ood_scores(metrics.ood_scores(ckpt, normalized(spec_in)[1], score),
+                                     metrics.ood_scores(ckpt, normalized(spec_out)[1], score))
+        assert _first_different_line((tmp_path / score / "scores.csv").read_text(), want) is None
+    assert capsys.readouterr().err == ""
+
+
+def test_score_rows_print_every_float_as_the_per_row_writer(tmp_path):
+    edges = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.1 + 0.2,
+             123456789012.5, 1e16, 2.0 ** 60, np.inf, -np.inf, np.nan]
+    gen = np.random.default_rng(7)
+    floats = np.concatenate([edges, gen.normal(size=20000) * 10.0 ** gen.integers(-300, 300, 20000)])
+    n = len(floats)
+    ints = gen.integers(0, 10, size=n)
+    path = tmp_path / "scores.csv"
+    with open(path, "w") as fh:
+        fh.write("index,label,predicted,p_true,entropy\n")
+        cli._write_score_rows(fh, "%d,%d,%d,%.12g,%.12g\n", ints, ints[::-1], floats, -floats)
+    want = _reference_eval_scores(ints, ints[::-1], floats, -floats)
+    assert _first_different_line(path.read_text(), want) is None
+    with open(path, "w") as fh:
+        fh.write("split,index,score\n")
+        cli._write_score_rows(fh, "in,%d,%.12g\n", floats)
+        cli._write_score_rows(fh, "out,%d,%.12g\n", floats[:5])
+    assert _first_different_line(path.read_text(), _reference_ood_scores(floats, floats[:5])) is None
 
 
 # valid values and edge values of the eval, ood and cdi-demo keys; "{ckpt}"
@@ -941,6 +1025,7 @@ def test_scoring_config_fuzz_exits_cleanly(tmp_path_factory, capsys, blob_checkp
     lines = captured.err.splitlines()
     if rc == 0:
         assert captured.err == ""
+        assert "encountered in" not in captured.out, captured.out
         if command == "cdi-demo":
             _finite_cdi_csv(out / "o" / "cdi.csv")
         else:

@@ -28,6 +28,33 @@ def test_vjp_sigmoid_equals_expit_bit_for_bit():
     np.testing.assert_array_equal(mx._expit(diag), expit(diag))
 
 
+def _row_reduction_logsumexp(m):
+    shift = m.max(axis=1)
+    return np.log(np.exp(m - shift[:, None]).sum(axis=1)) + shift
+
+
+@pytest.mark.parametrize("n", [1, 64, 150000])
+def test_logsumexp_rows_equals_the_row_reduction_bit_for_bit(n):
+    gen = np.random.default_rng(n)
+    special = np.array([-np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, 5e-324, 709.0, -745.0])
+    for n_cols in range(1, 17):
+        m = gen.normal(size=(n, n_cols)) * gen.choice([1e-3, 1.0, 30.0, 1e3, 1e300], size=(n, 1))
+        # scatter special values, and give some rows all -inf, all +-0 or one nan
+        mask = gen.random(m.shape) < 0.05
+        m[mask] = gen.choice(special, size=int(mask.sum()))
+        if n > 1:
+            m[gen.integers(0, n, size=max(1, n // 50))] = -np.inf
+            m[gen.integers(0, n, size=max(1, n // 50))] = gen.choice([0.0, -0.0], size=n_cols)
+            m[gen.integers(0, n, size=max(1, n // 50)), gen.integers(0, n_cols)] = np.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _row_reduction_logsumexp(m)
+            got = mx._logsumexp_rows(m)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
+                                      err_msg=f"{n_cols} columns")
+    with pytest.raises(ValueError):
+        mx._logsumexp_rows(np.empty((n, 0)))
+
+
 def test_standard_normal_log_density():
     m = unit_mixture()
     got = mx.mixture_log_density(m, 0, np.array([0.0]))

@@ -73,6 +73,25 @@ def test_elu_values():
     assert got[2] == 2.0
 
 
+def test_elu_raises_no_overflow_on_the_lanes_it_discards():
+    # expm1 overflows above about 709.78; those lanes are replaced by u, so
+    # the block must neither overflow there nor change a bit elsewhere,
+    # the sign of a zero included
+    cfg = net.MlpConfig(input_dim=2, hidden_dims=(4,), output_dim=2)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 709.0, 710.0, 1e300, np.inf, -np.inf, np.nan,
+               -1e300, -745.0, -1.0, 1.0]
+    u = np.concatenate([special, np.random.default_rng(3).normal(scale=300.0, size=4000 - 14)])
+    u[100::37], u[101::37] = -0.0, 0.0  # zeros in every vector lane and in the tail
+    u = u.reshape(1000, 4)
+    with np.errstate(all="ignore"):
+        want = np.expm1(u)
+    np.copyto(want, u, where=u > 0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got, _ = net._block(cfg, u, None, None)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(got.flat[100::37]).all() and not np.signbit(got.flat[101::37]).any()
+
+
 def test_elu_derivative_at_zero_is_one():
     # through the tape's block node and through the block scale of jacobian_batch
     cfg = net.MlpConfig(input_dim=1, hidden_dims=(1,), output_dim=1)
