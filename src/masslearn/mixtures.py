@@ -218,14 +218,14 @@ def _class_vjp(l_fac_c, inv_c, raw_c, log_w_c, y, comp, out_c, g_c, g_sum, need_
     return d_z, d_means, d_l, h_sum - np.exp(log_w_c) * g_sum
 
 
-def _class_log_density_vjp(means, chol_raw, weight_logits, z, out, g, need_z: bool = True,
-                           factors=None):
+def _class_log_density_vjp(means, chol_raw, weight_logits, z, out, g, factors,
+                           need_z: bool = True):
     """Gradients of sum(g * out) in z, means, chol_raw, weight_logits, where
-    out = class_log_density(...); the z gradient is None unless need_z.
-    factors are `_factors(chol_raw)` when the forward pass kept them.
+    out = class_log_density(...) and factors = `_factors(chol_raw)`, both
+    kept from the forward pass; the z gradient is None unless need_z.
     One `_class_vjp` per class over all N points."""
     log_w = _log_weights(weight_logits)
-    l_fac, inv, sumlog = _factors(chol_raw) if factors is None else factors
+    l_fac, inv, sumlog = factors
     d_z = np.zeros_like(z) if need_z else None
     d_means = np.empty_like(means)
     d_raw = np.empty_like(chol_raw)
@@ -326,7 +326,7 @@ def density_nodes(tape: ad.Tape, pnodes: dict[str, ad.Node], m: ClassConditional
     need_z = z_node.op != "const"
     class_cond = ad.first_order(
         (z_node, *params), value,
-        lambda g: _class_log_density_vjp(*arrays, z, value, g, need_z, factors), "mixture_density")
+        lambda g: _class_log_density_vjp(*arrays, z, value, g, factors, need_z), "mixture_density")
 
     with np.errstate(divide="ignore"):
         log_priors = np.log(m.class_priors)

@@ -212,12 +212,14 @@ def _block(cfg: MlpConfig, z: np.ndarray, bn, mask):
     elu = cfg.nonlinearity == "elu"
     out = u
     if elu:  # expm1(u) below 0, u above, in one output array
-        # expm1 sees 0 on the lanes u replaces, so a large u cannot overflow
-        # there.  Of two equal arguments np.minimum returns the second, so
-        # u = -0.0 stays -0.0 here; np.minimum(u, 0.0) would make it +0.0.
+        # expm1 sees 0 where u > 0, so a large u cannot overflow there, and
+        # np.maximum puts u back: expm1(u) >= u for every u <= 0, so it is
+        # the same as a masked copy of u where u > 0, without the mask.  Of
+        # two equal arguments np.minimum and np.maximum return the second,
+        # so u = -0.0 stays -0.0.
         out = np.minimum(0.0, u)
         np.expm1(out, out=out)
-        np.copyto(out, u, where=u > 0)
+        np.maximum(out, u, out=out)
     if mask is not None:
         out = out * mask
     return out, BlockCache(z, u, bn, elu, mask)

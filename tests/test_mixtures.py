@@ -317,7 +317,8 @@ def _assert_head_matches_reference(n_classes, n_components, r, n, seed):
     got = mx.class_log_density(means, chol_raw, weight_logits, z)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
     wants = _ref_class_log_density_vjp(means, chol_raw, weight_logits, z, want, g)
-    gots = mx._class_log_density_vjp(means, chol_raw, weight_logits, z, want, g)
+    gots = mx._class_log_density_vjp(means, chol_raw, weight_logits, z, want, g,
+                                     mx._factors(chol_raw))
     for name, got_d, want_d in zip(("z", "means", "chol_raw", "weight_logits"), gots, wants):
         assert got_d.shape == want_d.shape, name
         err = np.abs(got_d - want_d) / np.maximum(1.0, np.abs(want_d))
@@ -349,7 +350,7 @@ def test_singular_factor_raises_where_the_triangular_solve_does():
         mx.class_log_density_matrix(m, z)
     with pytest.raises(np.linalg.LinAlgError):
         mx._class_log_density_vjp(m.means, m.chol_raw, m.weight_logits, z,
-                                  np.zeros((5, 2)), np.ones((5, 2)))
+                                  np.zeros((5, 2)), np.ones((5, 2)), mx._factors(m.chol_raw))
 
 
 def test_constant_points_get_no_gradient():

@@ -76,13 +76,15 @@ def test_elu_values():
 def test_elu_raises_no_overflow_on_the_lanes_it_discards():
     # expm1 overflows above about 709.78; those lanes are replaced by u, so
     # the block must neither overflow there nor change a bit elsewhere,
-    # the sign of a zero included
+    # the sign of a zero included; the negatives down to the subnormals
+    # check that expm1(u) >= u, on which putting u back by np.maximum rests
     cfg = net.MlpConfig(input_dim=2, hidden_dims=(4,), output_dim=2)
     special = [-0.0, 0.0, 5e-324, -5e-324, 709.0, 710.0, 1e300, np.inf, -np.inf, np.nan,
                -1e300, -745.0, -1.0, 1.0]
-    u = np.concatenate([special, np.random.default_rng(3).normal(scale=300.0, size=4000 - 14)])
+    u = np.concatenate([special, np.random.default_rng(3).normal(scale=300.0, size=4000 - 14),
+                        -np.logspace(-323, 3, 20000)])
     u[100::37], u[101::37] = -0.0, 0.0  # zeros in every vector lane and in the tail
-    u = u.reshape(1000, 4)
+    u = u.reshape(-1, 4)
     with np.errstate(all="ignore"):
         want = np.expm1(u)
     np.copyto(want, u, where=u > 0)
